@@ -13,9 +13,7 @@ import json
 import sys
 from fractions import Fraction
 
-
-def _fmt(x: float) -> str:
-    return format(x, ".12g")
+from .density import fmt_float
 
 
 def _parse_triple(text: str):
@@ -58,7 +56,7 @@ def _cmd_classify(args) -> int:
     if real:
         rep = t_representative(tau)
         record["branch"] = rep.branch
-        record["t"] = float(_fmt(rep.t))
+        record["t"] = float(fmt_float(rep.t))
     if args.json:
         print(json.dumps(record))
     else:
@@ -70,7 +68,7 @@ def _cmd_classify(args) -> int:
             f"real_j={'true' if real else 'false'}",
         ]
         if real:
-            pieces += [f"branch={record['branch']}", f"t={_fmt(record['t'])}"]
+            pieces += [f"branch={record['branch']}", f"t={fmt_float(record['t'])}"]
         print(" ".join(pieces))
     return 0
 
@@ -124,28 +122,28 @@ def _cmd_enumerate(args) -> int:
             "a": p.tau.a,
             "b": p.tau.b,
             "c": p.tau.c,
-            "j": float(_fmt(p.j_estimate)),
+            "j": float(fmt_float(p.j_estimate)),
         }
         for p in points
     ]
     if args.json:
         print(json.dumps({"disc": args.disc, "count": len(entries), "entries": entries}))
     else:
-        print(f"disc={args.disc} count={len(entries)} min_j_gap={_fmt(min_j_gap(points))}")
+        print(f"disc={args.disc} count={len(entries)} min_j_gap={fmt_float(min_j_gap(points))}")
         for e in entries:
             print(
-                f"beta={e['beta']} tau=({e['a']},{e['b']},{e['c']}) j={_fmt(e['j'])}"
+                f"beta={e['beta']} tau=({e['a']},{e['b']},{e['c']}) j={fmt_float(e['j'])}"
             )
     return 0
 
 
 def _cmd_isogeny(args) -> int:
-    from .isogenies import moebius, odd_isogeny
+    from .isogenies import odd_isogeny
 
     matrix = _parse_matrix(args.matrix)
     tau = _parse_triple(args.tau)
     iso = odd_isogeny(matrix, tau)
-    moved = moebius(matrix, tau)
+    moved = iso.source_tau
     record = {
         "degree": iso.degree,
         "multiplier": str(iso.u),
@@ -179,9 +177,9 @@ def _cmd_jvalue(args) -> int:
         z = complex(float(parts[0]), float(parts[1]))
     j = j_numeric(z)
     if args.json:
-        print(json.dumps({"re_j": float(_fmt(j.real)), "im_j": float(_fmt(j.imag))}))
+        print(json.dumps({"re_j": float(fmt_float(j.real)), "im_j": float(fmt_float(j.imag))}))
     else:
-        print(f"j_re={_fmt(j.real)} j_im={_fmt(j.imag)}")
+        print(f"j_re={fmt_float(j.real)} j_im={fmt_float(j.imag)}")
     return 0
 
 
@@ -218,8 +216,8 @@ def _cmd_density(args) -> int:
             handle.write(payload)
     summary = (
         f"samples={len(report.samples)} "
-        f"min_j={'n/a' if report.min_j is None else _fmt(report.min_j)} "
-        f"max_j={'n/a' if report.max_j is None else _fmt(report.max_j)} "
+        f"min_j={'n/a' if report.min_j is None else fmt_float(report.min_j)} "
+        f"max_j={'n/a' if report.max_j is None else fmt_float(report.max_j)} "
         f"bins_hit={report.bins_hit} "
         f"all_below_1728={'true' if report.all_below_1728 else 'false'} "
         f"threads={report.threads}"

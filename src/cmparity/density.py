@@ -9,10 +9,16 @@ both sides of 1728; complex mode draws random matrices from the odd group and
 scatters j over the plane. Density itself is not verifiable in finite time:
 the reports substantiate it through strict bounds and monotone refinement.
 
-Sample evaluation is embarrassingly parallel and is chunked over a thread
-pool sized by the CMPARITY_THREADS environment variable (default: all cores);
-reports are sorted before emission, so output is identical regardless of
-evaluation order.
+The real families are built from the integers (m, n) directly: the filter
+and the exact triple are integer expressions, with no rationals. A member
+depends on the ratio m/n only, so its triple, its parity check and its j are
+evaluated once per reduced ratio, and the other pairs with that ratio reuse
+the j. Complex mode moves each drawn point once, inside odd_isogeny.
+
+The distinct evaluations are chunked over a thread pool sized by the
+CMPARITY_THREADS environment variable (default: all cores); reports are
+sorted before emission, so output is identical regardless of evaluation
+order.
 """
 
 from __future__ import annotations
@@ -33,12 +39,11 @@ from .cmpoints import TauExact, parity_of_tau
 from .enumeration import CMClassPoint
 from .errors import BadBaseError, InternalCheckError
 from .factorint import squarefree_decompose
-from .isogenies import RatMatrix2, in_odd_group, moebius, odd_isogeny
-from .modular import is_real_j, j_numeric
+from .isogenies import RatMatrix2, in_odd_group, odd_isogeny
+from .modular import J_SPLIT, is_real_j, j_numeric
 from .quadorders import Parity
 
 THREADS_ENV_VAR = "CMPARITY_THREADS"
-J_SPLIT = 1728.0
 DEFAULT_RECT = (-2000.0, 2000.0, -2000.0, 2000.0)
 
 
@@ -77,7 +82,7 @@ class DensityConfig:
             raise ValueError("draw count must be nonnegative")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SamplePoint:
     label: str
     j: complex
@@ -148,24 +153,54 @@ def _map_chunked(fun, items: list, threads: int) -> list:
         return list(pool.map(fun, items, chunksize=max(1, len(items) // (4 * threads))))
 
 
-def _half_line_triple(square: Fraction) -> TauExact:
-    """Exact triple of 1/2 + i*t with t**2 = square > 0."""
-    p, q = square.numerator, square.denominator
-    return TauExact(4 * q, -4 * q, q + 4 * p)
+def _family_samples(
+    pairs: list[tuple[int, int]],
+    axis: range,
+    triple,
+    parity: Parity,
+    family: str,
+    sample,
+    threads: int,
+) -> list[SamplePoint]:
+    """Samples of a real family, one per pair (m, n), in the order of pairs.
 
+    Every m and n lies on axis, and triple(m, n) is the exact point of the
+    pair. That point depends on the ratio m/n only, and pairs holds the
+    reduced form of each of its ratios, so the triple, its parity check and
+    j_numeric run once per reduced ratio (in the thread pool); every other
+    pair reuses the j of its reduced ratio. sample(pair, j) builds the sample.
+    """
+    ratios = [pair for pair in pairs if math.gcd(*pair) == 1]
 
-def _axis_triple(square: Fraction) -> TauExact:
-    """Exact triple of i*t with t**2 = square > 0."""
-    p, q = square.numerator, square.denominator
-    return TauExact(q, 0, p)
+    def evaluate(ratio: tuple[int, int]) -> complex:
+        tau = triple(*ratio)
+        if parity_of_tau(tau) is not parity:
+            m, n = ratio
+            raise InternalCheckError(f"family member {family}({m},{n}) is not {parity.value}")
+        return j_numeric(complex(tau))
+
+    start, step, width = axis.start, axis.step, len(axis)
+
+    def cell(m: int, n: int) -> int:  # slot of (m, n) in a flat grid over axis x axis
+        return (m - start) // step * width + (n - start) // step
+
+    j_at: list[complex | None] = [None] * (width * width)  # j of each reduced ratio
+    for (m, n), j in zip(ratios, _map_chunked(evaluate, ratios, threads)):
+        j_at[cell(m, n)] = j
+    samples = []
+    for pair in pairs:
+        m, n = pair
+        g = math.gcd(m, n)
+        samples.append(sample(pair, j_at[cell(m // g, n // g)]))
+    return samples
 
 
 def sample_odd(cfg: DensityConfig) -> CoverageReport:
     """j-values of the odd family (1 + i*(m/n)*y)/2, odd m, n <= bound with
     (m/n)*y > 1, from a base (1 + i*y)/2.
 
-    Every member must be odd (checked per sample) and every j strictly below
-    1728.
+    Every distinct member must be odd (checked once per reduced ratio m/n)
+    and every j strictly below 1728.
     """
     if cfg.mode is not Mode.ODD_REAL:
         raise ValueError("config mode is not odd")
@@ -176,37 +211,31 @@ def sample_odd(cfg: DensityConfig) -> CoverageReport:
         raise BadBaseError("odd mode needs an odd base point")
     if not is_real_j(base):
         raise BadBaseError("odd mode needs a base with real j")
-    # y = sqrt(|disc|)/a, so y^2 = (4c - a)/a exactly
-    y_sq = Fraction(4 * base.c - base.a, base.a)
+    # y = sqrt(|disc|)/a, so y^2 = k/a exactly with k = 4c - a
+    a, k = base.a, 4 * base.c - base.a
     n_max = cfg.denom_bound
-    pairs = [
-        (m, n)
-        for m in range(1, n_max + 1, 2)
-        for n in range(1, n_max + 1, 2)
-        if m * m * y_sq > n * n  # (m/n)*y > 1
-    ]
-    threads = thread_count()
+    axis = range(1, n_max + 1, 2)
+    pairs = [(m, n) for m in axis for n in axis if m * m * k > n * n * a]  # (m/n)*y > 1
 
-    def evaluate(pair: tuple[int, int]) -> SamplePoint:
+    def triple(m: int, n: int) -> TauExact:
+        # 1/2 + i*t with t^2 = m^2*k / (4*n^2*a), cleared of denominators
+        return TauExact(4 * n * n * a, -4 * n * n * a, n * n * a + m * m * k)
+
+    def sample(pair: tuple[int, int], j: complex) -> SamplePoint:
         m, n = pair
-        t_sq = Fraction(m * m, 4 * n * n) * y_sq  # (Im tau)^2
-        tau = _half_line_triple(t_sq)
-        if parity_of_tau(tau) is not Parity.ODD:
-            raise InternalCheckError(f"family member ({m},{n}) is not odd")
         # connecting matrix ((m, (n-m)/2), (0, n)); degree = det / gcd^2
-        g = math.gcd(m, math.gcd((n - m) // 2, n))
-        degree = m * n // (g * g)
-        j = j_numeric(complex(tau))
+        g = math.gcd(m, (n - m) // 2, n)
         return SamplePoint(
             label=f"{m},{n}",
             j=j,
             branch="T2",
             parity=Parity.ODD,
-            degree=degree,
-            sort_key=(m, n),
+            degree=m * n // (g * g),
+            sort_key=pair,
         )
 
-    samples = _map_chunked(evaluate, pairs, threads)
+    threads = thread_count()
+    samples = _family_samples(pairs, axis, triple, Parity.ODD, "", sample, threads)
     report = _build_report(
         cfg.mode, samples, cfg.bin_width, cfg.rect, False, n_max, None, threads
     )
@@ -220,7 +249,8 @@ def sample_even(cfg: DensityConfig) -> CoverageReport:
 
     Axis family: i*(m/n)*sqrt(|d|) for all m, n <= bound with value >= 1.
     Line family: 1/2 + i*(m/n)*sqrt(|d|) with value > 1/2; m, n restricted to
-    odd when d = 1 (mod 4), where even shifts would change parity.
+    odd when d = 1 (mod 4), where even shifts would change parity. Each
+    distinct member is checked to be even once per reduced ratio m/n.
     """
     if cfg.mode is not Mode.EVEN_REAL:
         raise ValueError("config mode is not even")
@@ -230,35 +260,42 @@ def sample_even(cfg: DensityConfig) -> CoverageReport:
     _, d = squarefree_decompose(base.disc)
     abs_d = abs(d)
     n_max = cfg.denom_bound
-    step = 2 if d % 4 == 1 else 1
-    jobs: list[tuple[str, int, int]] = []
-    for m in range(1, n_max + 1):
-        for n in range(1, n_max + 1):
-            if m * m * abs_d >= n * n:  # t >= 1; boundary included
-                jobs.append(("T1", m, n))
-    for m in range(1, n_max + 1, step):
-        for n in range(1, n_max + 1, step):
-            if 4 * m * m * abs_d > n * n:  # t > 1/2
-                jobs.append(("T2", m, n))
+    axis = range(1, n_max + 1)
+    line = range(1, n_max + 1, 2 if d % 4 == 1 else 1)
     threads = thread_count()
 
-    def evaluate(job: tuple[str, int, int]) -> SamplePoint:
-        branch, m, n = job
-        t_sq = Fraction(m * m * abs_d, n * n)
-        tau = _axis_triple(t_sq) if branch == "T1" else _half_line_triple(t_sq)
-        if parity_of_tau(tau) is not Parity.EVEN:
-            raise InternalCheckError(f"family member {branch}({m},{n}) is not even")
-        j = j_numeric(complex(tau))
-        return SamplePoint(
-            label=f"{branch}:{m},{n}",
-            j=j,
-            branch=branch,
-            parity=Parity.EVEN,
-            degree=None,
-            sort_key=(branch, m, n),
-        )
+    def sampler(branch: str):
+        def sample(pair: tuple[int, int], j: complex) -> SamplePoint:
+            m, n = pair
+            return SamplePoint(
+                label=f"{branch}:{m},{n}",
+                j=j,
+                branch=branch,
+                parity=Parity.EVEN,
+                degree=None,
+                sort_key=(branch, m, n),
+            )
 
-    samples = _map_chunked(evaluate, jobs, threads)
+        return sample
+
+    samples = _family_samples(
+        [(m, n) for m in axis for n in axis if m * m * abs_d >= n * n],  # t >= 1
+        axis,
+        lambda m, n: TauExact(n * n, 0, m * m * abs_d),  # i*t, t^2 = m^2*|d|/n^2
+        Parity.EVEN,
+        "T1",
+        sampler("T1"),
+        threads,
+    )
+    samples += _family_samples(
+        [(m, n) for m in line for n in line if 4 * m * m * abs_d > n * n],  # t > 1/2
+        line,
+        lambda m, n: TauExact(4 * n * n, -4 * n * n, n * n + 4 * m * m * abs_d),
+        Parity.EVEN,
+        "T2",
+        sampler("T2"),
+        threads,
+    )
     return _build_report(
         cfg.mode, samples, cfg.bin_width, cfg.rect, False, n_max, None, threads
     )
@@ -294,10 +331,10 @@ def sample_complex(cfg: DensityConfig) -> CoverageReport:
 
     def evaluate(item: tuple[int, RatMatrix2]) -> SamplePoint:
         idx, matrix = item
-        moved = moebius(matrix, base)
+        iso = odd_isogeny(matrix, base)
+        moved = iso.source_tau
         if parity_of_tau(moved) is not base_parity:
             raise InternalCheckError(f"parity transport violated by {matrix}")
-        degree = odd_isogeny(matrix, base).degree
         j = j_numeric(complex(moved))
         digest = hashlib.md5(
             repr(tuple(str(e) for e in matrix.entries())).encode()
@@ -307,7 +344,7 @@ def sample_complex(cfg: DensityConfig) -> CoverageReport:
             j=j,
             branch=None,
             parity=base_parity,
-            degree=degree,
+            degree=iso.degree,
             sort_key=(idx,),
         )
 
@@ -335,7 +372,8 @@ def coverage_report_from_points(points: list[CMClassPoint]) -> CoverageReport:
     )
 
 
-def _fmt(x: float) -> str:
+def fmt_float(x: float) -> str:
+    """A float at 12 significant digits, as every report and command prints it."""
     return format(x, ".12g")
 
 
@@ -345,8 +383,8 @@ def _json_num(x: float | None):
     if x is None:
         return None
     if not math.isfinite(x):
-        return _fmt(x)
-    return float(_fmt(x))
+        return fmt_float(x)
+    return float(fmt_float(x))
 
 
 def emit(report: CoverageReport, fmt: str = "csv") -> bytes:
@@ -360,8 +398,8 @@ def emit(report: CoverageReport, fmt: str = "csv") -> bytes:
             writer.writerow(
                 [
                     s.label,
-                    _fmt(s.j.real),
-                    _fmt(s.j.imag),
+                    fmt_float(s.j.real),
+                    fmt_float(s.j.imag),
                     s.branch or "",
                     s.parity.value,
                     "" if s.degree is None else s.degree,

@@ -18,7 +18,6 @@ from fractions import Fraction
 
 from .cmpoints import Lattice, QuadElement, TauExact, lattice_of_tau, parity_of_tau, tau_from_element
 from .errors import InternalCheckError, NotASublatticeError, NotInGroupError
-from .quadorders import Parity
 
 
 @dataclass(frozen=True)
@@ -86,12 +85,14 @@ def in_odd_group(m: RatMatrix2) -> bool:
 @dataclass(frozen=True)
 class Isogeny:
     """Multiplication-by-u map from source to target lattice; degree is the
-    index of u*source inside target, verified at construction."""
+    index of u*source inside target, verified at construction. source_tau is
+    the point whose lattice is source, when the constructor knows it."""
 
     u: QuadElement
     source: Lattice
     target: Lattice
     degree: int
+    source_tau: TauExact | None = None
 
     def __post_init__(self):
         idx = lattice_index(self.u, self.source, self.target)
@@ -142,7 +143,7 @@ def lattice_index(u: QuadElement, lat1: Lattice, lat2: Lattice) -> int:
 def odd_isogeny(m: RatMatrix2, t: TauExact) -> Isogeny:
     """Construct the odd-degree isogeny from the lattice of m(tau) to the
     lattice of tau carried by the multiplier c*tau + d of the integralized
-    matrix.
+    matrix; the moved point m(tau) comes back as its source_tau.
 
     The least odd integer clearing all denominators scales the matrix to
     integer entries, and dividing out the entry gcd then minimizes the degree
@@ -164,9 +165,8 @@ def odd_isogeny(m: RatMatrix2, t: TauExact) -> Isogeny:
     tau = t.as_element()
     one = QuadElement(Fraction(1), Fraction(0), tau.d)
     u = tau.scale(ic) + one.scale(idd)
-    source = lattice_of_tau(moebius(m, t))
-    target = lattice_of_tau(t)
-    return Isogeny(u, source, target, degree)
+    moved = moebius(m, t)
+    return Isogeny(u, lattice_of_tau(moved), lattice_of_tau(t), degree, moved)
 
 
 def parity_transport_check(m: RatMatrix2, t: TauExact) -> bool:
@@ -175,11 +175,3 @@ def parity_transport_check(m: RatMatrix2, t: TauExact) -> bool:
     require_odd_group(m)
     return parity_of_tau(moebius(m, t)) == parity_of_tau(t)
 
-
-def transported_parity(m: RatMatrix2, t: TauExact) -> Parity:
-    """Parity of m(tau), for callers that want the value and the check."""
-    require_odd_group(m)
-    moved = parity_of_tau(moebius(m, t))
-    if moved != parity_of_tau(t):
-        raise InternalCheckError("parity changed under an odd-group matrix")
-    return moved

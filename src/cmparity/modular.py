@@ -24,7 +24,14 @@ from .errors import InternalCheckError, NotRealJError
 
 SERIES_CUTOFF = 1e-20  # stop when the next term is this small vs the partial sum
 SERIES_MAX_TERMS = 64
-REAL_J_TOL = 1e-6  # |Im j| < tol*(1+|j|) counts as real
+# Float error of j at an exactly reduced point, for the numeric real-j check.
+# The point's real part -b/(2a) is off by a few ulps, which turns the phase of
+# q = exp(2*pi*i*z) by about 2*pi*|delta Re z| and so moves Im j by that much
+# relative to |j|; RE_Z_ERR bounds |delta Re z| with room for the series' own
+# rounding (at most 2e-14 relative on ambiguous forms with a up to 1e12).
+# REAL_J_ABS_TOL covers j near 0, where a relative bound vanishes.
+RE_Z_ERR = 1e-13
+REAL_J_ABS_TOL = 1e-12
 BRANCH_RESIDUAL_TOL = 1e-6
 BISECT_T_TOL = 1e-12
 F_CURVE_IMAG_TOL = 1e-9
@@ -183,13 +190,14 @@ def reduce_fundamental(t: TauExact) -> tuple[TauExact, tuple[tuple[int, int], tu
 def is_real_j(t: TauExact) -> bool:
     """Whether j(tau) is real: the reduced triple is ambiguous (b = 0, |b| = a,
     or a = c). The form criterion is double-checked numerically rather than
-    trusted alone."""
+    trusted alone: j at the reduced point counts as real when |Im j| is within
+    the float error of that point."""
     reduced, _ = reduce_fundamental(t)
     by_form = (
         reduced.b == 0 or abs(reduced.b) == reduced.a or reduced.a == reduced.c
     )
-    j = j_numeric(complex(t))
-    by_value = abs(j.imag) < REAL_J_TOL * (1.0 + abs(j))
+    j = j_numeric(complex(reduced))
+    by_value = abs(j.imag) <= REAL_J_ABS_TOL + 2.0 * math.pi * RE_Z_ERR * abs(j)
     if by_form != by_value:
         raise InternalCheckError(
             f"form criterion ({by_form}) and numeric criterion ({by_value}) "

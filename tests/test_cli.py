@@ -42,6 +42,12 @@ def test_classify_json(capsys):
     assert record["parity"] == "odd" and record["branch"] == "T2"
 
 
+def test_classify_huge_non_real_point(capsys):
+    code, out, _ = run_cli(capsys, "classify", "--tau", "10000019,1,20000000001", "--json")
+    assert code == 0
+    assert json.loads(out)["real_j"] is False
+
+
 def test_classify_invalid_triple(capsys):
     code, _, err = run_cli(capsys, "classify", "--tau", "1,5,1")
     assert code == 2

@@ -1,5 +1,8 @@
+import hashlib
 import json
 import random
+import sys
+from fractions import Fraction
 
 import pytest
 
@@ -9,8 +12,10 @@ from cmparity import (
     RatMatrix2,
     TauExact,
     coverage_report_from_points,
+    density,
     emit,
     enumerate_real_odd_cm,
+    isogenies,
     j_numeric,
     moebius,
     parity_of_tau,
@@ -235,6 +240,71 @@ def test_thread_count_env_validation(monkeypatch):
     monkeypatch.setenv("CMPARITY_THREADS", "0")
     with pytest.raises(ValueError):
         thread_count()
+
+
+# Output bytes must survive every speed-up: these hashes come from the
+# per-pair Fraction implementation. The JSON report records CMPARITY_THREADS.
+PINNED_SHA256 = {
+    "odd-99-csv": "de879b45f22e6cf88988dfd2a82db7ed8f8034d3450fbb6d86e8df059fcd05d9",
+    "even-1,0,1-30-csv": "9d7a75d13912e94380a5ffe6880fc67ecc5baafdc80fd4a3731d04eb903f1929",
+    "complex-42-1000-json": "e6bbcafd7bf82cf7f05fa74adc74d37cc2b8c6f40250996b8df771483c6633fc",
+}
+
+
+def test_reports_match_pinned_bytes(monkeypatch):
+    monkeypatch.setenv("CMPARITY_THREADS", "1")
+    reports = {
+        "odd-99-csv": emit(sample_odd(odd_cfg(99)), "csv"),
+        "even-1,0,1-30-csv": emit(sample_even(even_cfg(TauExact(1, 0, 1), 30)), "csv"),
+        "complex-42-1000-json": emit(
+            sample_complex(DensityConfig(mode=Mode.COMPLEX, base=BASE_ODD, draws=1000, seed=42)),
+            "json",
+        ),
+    }
+    for name, payload in reports.items():
+        assert hashlib.sha256(payload).hexdigest() == PINNED_SHA256[name], name
+
+
+def counting(monkeypatch, function, modules):
+    """Count the calls of function made through any of the modules' names."""
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return function(*args)
+
+    for module in modules:
+        for name, value in list(vars(module).items()):
+            if value is function:
+                monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_odd_evaluates_j_once_per_distinct_ratio(monkeypatch):
+    n = 99
+    # base (1 + sqrt(-3))/2 has y^2 = 3: the family keeps odd m, n with 3m^2 > n^2
+    pairs = [(m, q) for m in range(1, n + 1, 2) for q in range(1, n + 1, 2) if 3 * m * m > q * q]
+    ratios = {Fraction(m, q) for m, q in pairs}
+    assert len(ratios) < len(pairs)
+    calls = counting(monkeypatch, density.j_numeric, [density])
+    report = sample_odd(odd_cfg(n))
+    assert len(report.samples) == len(pairs)
+    assert len(calls) == len(ratios)
+    assert len(set(calls)) == len(ratios)
+
+
+def test_even_evaluates_j_once_per_distinct_point(monkeypatch):
+    calls = counting(monkeypatch, density.j_numeric, [density])
+    report = sample_even(even_cfg(TauExact(1, 0, 3), 12))
+    points = {(s.branch, Fraction(*map(int, s.label.split(":")[1].split(",")))) for s in report.samples}
+    assert len(calls) == len(points) < len(report.samples)
+
+
+def test_complex_moves_each_draw_once(monkeypatch):
+    cmparity_modules = [m for name, m in sys.modules.items() if name.startswith("cmparity")]
+    calls = counting(monkeypatch, isogenies.moebius, cmparity_modules)
+    sample_complex(DensityConfig(mode=Mode.COMPLEX, base=BASE_ODD, draws=50, seed=3))
+    assert len(calls) == 50
 
 
 def test_config_validation():

@@ -13,6 +13,7 @@ from cmparity import (
     TauExact,
     in_odd_group,
     lattice_index,
+    lattice_of_tau,
     moebius,
     odd_isogeny,
     parity_transport_check,
@@ -90,6 +91,8 @@ def test_odd_isogeny_consistency_random():
         iso = odd_isogeny(m, t)
         assert iso.degree % 2 == 1
         assert lattice_index(iso.u, iso.source, iso.target) == iso.degree
+        assert iso.source_tau == moebius(m, t)
+        assert iso.source == lattice_of_tau(iso.source_tau)
 
 
 def test_odd_isogeny_rejects_outsiders():

@@ -114,6 +114,27 @@ def test_is_real_j_more_classes():
     assert is_real_j(TauExact(2, -1, 3)) is False
 
 
+# reduced, not ambiguous, and far up the cusp: Im j / |j| is about 3e-7 and 3e-9
+HUGE_NON_REAL = [(10000019, 1, 20000000001), (10**9 + 7, 1, 10**12)]
+
+
+@pytest.mark.parametrize("triple", HUGE_NON_REAL)
+def test_is_real_j_huge_points_are_not_real(triple):
+    # |j| is about 1e122 and 1e86; a tolerance relative to |j| would call j real
+    assert is_real_j(TauExact(*triple)) is False
+
+
+@pytest.mark.parametrize("triple", HUGE_NON_REAL)
+def test_is_real_j_huge_points_against_mpmath(triple):
+    mpmath = pytest.importorskip("mpmath")
+    a, b, c = triple
+    with mpmath.workdps(50):
+        tau = mpmath.mpc(mpmath.mpf(-b) / (2 * a), mpmath.sqrt(4 * a * c - b * b) / (2 * a))
+        j = 1728 * mpmath.kleinj(tau)
+        assert abs(j.imag) / abs(j) > 1e-9
+    assert is_real_j(TauExact(a, b, c)) is False
+
+
 def test_t_representative_examples():
     rep = t_representative(TauExact(1, 0, 1))
     assert rep.branch == "T1" and rep.t == 1.0
