@@ -155,7 +155,6 @@ def _map_chunked(fun, items: list, threads: int) -> list:
 
 def _family_samples(
     pairs: list[tuple[int, int]],
-    axis: range,
     triple,
     parity: Parity,
     family: str,
@@ -164,11 +163,11 @@ def _family_samples(
 ) -> list[SamplePoint]:
     """Samples of a real family, one per pair (m, n), in the order of pairs.
 
-    Every m and n lies on axis, and triple(m, n) is the exact point of the
-    pair. That point depends on the ratio m/n only, and pairs holds the
-    reduced form of each of its ratios, so the triple, its parity check and
-    j_numeric run once per reduced ratio (in the thread pool); every other
-    pair reuses the j of its reduced ratio. sample(pair, j) builds the sample.
+    triple(m, n) is the exact point of the pair. That point depends on the
+    ratio m/n only, and pairs holds the reduced form of each of its ratios, so
+    the triple, its parity check and j_numeric run once per reduced ratio (in
+    the thread pool); every other pair reuses the j of its reduced ratio.
+    sample(pair, j) builds the sample.
     """
     ratios = [pair for pair in pairs if math.gcd(*pair) == 1]
 
@@ -179,19 +178,12 @@ def _family_samples(
             raise InternalCheckError(f"family member {family}({m},{n}) is not {parity.value}")
         return j_numeric(complex(tau))
 
-    start, step, width = axis.start, axis.step, len(axis)
-
-    def cell(m: int, n: int) -> int:  # slot of (m, n) in a flat grid over axis x axis
-        return (m - start) // step * width + (n - start) // step
-
-    j_at: list[complex | None] = [None] * (width * width)  # j of each reduced ratio
-    for (m, n), j in zip(ratios, _map_chunked(evaluate, ratios, threads)):
-        j_at[cell(m, n)] = j
+    j_of = dict(zip(ratios, _map_chunked(evaluate, ratios, threads)))
     samples = []
     for pair in pairs:
         m, n = pair
         g = math.gcd(m, n)
-        samples.append(sample(pair, j_at[cell(m // g, n // g)]))
+        samples.append(sample(pair, j_of[(m // g, n // g)]))
     return samples
 
 
@@ -235,7 +227,7 @@ def sample_odd(cfg: DensityConfig) -> CoverageReport:
         )
 
     threads = thread_count()
-    samples = _family_samples(pairs, axis, triple, Parity.ODD, "", sample, threads)
+    samples = _family_samples(pairs, triple, Parity.ODD, "", sample, threads)
     report = _build_report(
         cfg.mode, samples, cfg.bin_width, cfg.rect, False, n_max, None, threads
     )
@@ -280,7 +272,6 @@ def sample_even(cfg: DensityConfig) -> CoverageReport:
 
     samples = _family_samples(
         [(m, n) for m in axis for n in axis if m * m * abs_d >= n * n],  # t >= 1
-        axis,
         lambda m, n: TauExact(n * n, 0, m * m * abs_d),  # i*t, t^2 = m^2*|d|/n^2
         Parity.EVEN,
         "T1",
@@ -289,7 +280,6 @@ def sample_even(cfg: DensityConfig) -> CoverageReport:
     )
     samples += _family_samples(
         [(m, n) for m in line for n in line if 4 * m * m * abs_d > n * n],  # t > 1/2
-        line,
         lambda m, n: TauExact(4 * n * n, -4 * n * n, n * n + 4 * m * m * abs_d),
         Parity.EVEN,
         "T2",

@@ -86,13 +86,13 @@ def in_odd_group(m: RatMatrix2) -> bool:
 class Isogeny:
     """Multiplication-by-u map from source to target lattice; degree is the
     index of u*source inside target, verified at construction. source_tau is
-    the point whose lattice is source, when the constructor knows it."""
+    the point whose lattice is source."""
 
     u: QuadElement
     source: Lattice
     target: Lattice
     degree: int
-    source_tau: TauExact | None = None
+    source_tau: TauExact
 
     def __post_init__(self):
         idx = lattice_index(self.u, self.source, self.target)

@@ -191,13 +191,18 @@ def is_real_j(t: TauExact) -> bool:
     """Whether j(tau) is real: the reduced triple is ambiguous (b = 0, |b| = a,
     or a = c). The form criterion is double-checked numerically rather than
     trusted alone: j at the reduced point counts as real when |Im j| is within
-    the float error of that point."""
+    the float error of that point. Above the overflow height the cusp
+    expansion gives Im j as exactly zero or infinite, and infinite is not
+    real."""
     reduced, _ = reduce_fundamental(t)
     by_form = (
         reduced.b == 0 or abs(reduced.b) == reduced.a or reduced.a == reduced.c
     )
     j = j_numeric(complex(reduced))
-    by_value = abs(j.imag) <= REAL_J_ABS_TOL + 2.0 * math.pi * RE_Z_ERR * abs(j)
+    by_value = j.imag == 0.0 or (
+        math.isfinite(j.imag)
+        and abs(j.imag) <= REAL_J_ABS_TOL + 2.0 * math.pi * RE_Z_ERR * abs(j)
+    )
     if by_form != by_value:
         raise InternalCheckError(
             f"form criterion ({by_form}) and numeric criterion ({by_value}) "

@@ -48,6 +48,12 @@ def test_classify_huge_non_real_point(capsys):
     assert json.loads(out)["real_j"] is False
 
 
+def test_classify_non_real_point_past_overflow_height(capsys):
+    code, out, _ = run_cli(capsys, "classify", "--tau", "2,1,1000000", "--json")
+    assert code == 0
+    assert json.loads(out)["real_j"] is False
+
+
 def test_classify_invalid_triple(capsys):
     code, _, err = run_cli(capsys, "classify", "--tau", "1,5,1")
     assert code == 2

@@ -143,7 +143,7 @@ def test_isogeny_degree_validated_at_construction():
     from cmparity import Isogeny
 
     with pytest.raises(InternalCheckError):
-        Isogeny(QuadElement(Fraction(2), Fraction(0), d), std, std, 3)
+        Isogeny(QuadElement(Fraction(2), Fraction(0), d), std, std, 3, TauExact(1, 0, 1))
 
 
 def test_parity_transport_examples():

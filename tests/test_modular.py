@@ -115,12 +115,14 @@ def test_is_real_j_more_classes():
 
 
 # reduced, not ambiguous, and far up the cusp: Im j / |j| is about 3e-7 and 3e-9
-HUGE_NON_REAL = [(10000019, 1, 20000000001), (10**9 + 7, 1, 10**12)]
+# for the first two; the third lies above the height where j overflows doubles
+HUGE_NON_REAL = [(10000019, 1, 20000000001), (10**9 + 7, 1, 10**12), (2, 1, 10**6)]
 
 
 @pytest.mark.parametrize("triple", HUGE_NON_REAL)
 def test_is_real_j_huge_points_are_not_real(triple):
-    # |j| is about 1e122 and 1e86; a tolerance relative to |j| would call j real
+    # |j| is about 1e122 and 1e86, where a tolerance relative to |j| would call
+    # j real; for the third Im j overflows to infinity
     assert is_real_j(TauExact(*triple)) is False
 
 
