@@ -9,6 +9,7 @@ produce byte-identical output; randomized runs record their seed.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -219,8 +220,7 @@ def _cmd_density(args) -> int:
         f"min_j={'n/a' if report.min_j is None else fmt_float(report.min_j)} "
         f"max_j={'n/a' if report.max_j is None else fmt_float(report.max_j)} "
         f"bins_hit={report.bins_hit} "
-        f"all_below_1728={'true' if report.all_below_1728 else 'false'} "
-        f"threads={report.threads}"
+        f"all_below_1728={'true' if report.all_below_1728 else 'false'}"
     )
     if mode is Mode.COMPLEX:
         summary += f" seed={report.seed}"
@@ -228,6 +228,7 @@ def _cmd_density(args) -> int:
     return 0
 
 
+@functools.cache  # building it costs more than most commands do
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cmparity",

@@ -14,11 +14,6 @@ and the exact triple are integer expressions, with no rationals. A member
 depends on the ratio m/n only, so its triple, its parity check and its j are
 evaluated once per reduced ratio, and the other pairs with that ratio reuse
 the j. Complex mode moves each drawn point once, inside odd_isogeny.
-
-The distinct evaluations are chunked over a thread pool sized by the
-CMPARITY_THREADS environment variable (default: all cores); reports are
-sorted before emission, so output is identical regardless of evaluation
-order.
 """
 
 from __future__ import annotations
@@ -29,9 +24,7 @@ import hashlib
 import io
 import json
 import math
-import os
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -43,18 +36,7 @@ from .isogenies import RatMatrix2, in_odd_group, odd_isogeny
 from .modular import J_SPLIT, is_real_j, j_numeric
 from .quadorders import Parity
 
-THREADS_ENV_VAR = "CMPARITY_THREADS"
 DEFAULT_RECT = (-2000.0, 2000.0, -2000.0, 2000.0)
-
-
-def thread_count() -> int:
-    raw = os.environ.get(THREADS_ENV_VAR, "")
-    if raw.strip():
-        n = int(raw)
-        if n < 1:
-            raise ValueError(f"{THREADS_ENV_VAR} must be a positive integer")
-        return n
-    return os.cpu_count() or 1
 
 
 class Mode(enum.Enum):
@@ -71,7 +53,6 @@ class DensityConfig:
     bin_width: float = 100.0
     seed: int = 0
     draws: int = 0  # complex mode only
-    rect: tuple[float, float, float, float] = DEFAULT_RECT
 
     def __post_init__(self):
         if self.denom_bound < 1:
@@ -89,7 +70,6 @@ class SamplePoint:
     branch: str | None
     parity: Parity
     degree: int | None
-    sort_key: tuple
 
 
 @dataclass(frozen=True)
@@ -103,7 +83,6 @@ class CoverageReport:
     branch_counts: dict[str, int]
     denom_bound: int | None = None
     seed: int | None = None
-    threads: int = 1
     bin_width: float | None = None
 
 
@@ -111,19 +90,17 @@ def _build_report(
     mode: Mode,
     samples: list[SamplePoint],
     bin_width: float,
-    rect: tuple[float, float, float, float],
     two_dim: bool,
     denom_bound: int | None,
     seed: int | None,
-    threads: int,
 ) -> CoverageReport:
-    samples = sorted(samples, key=lambda s: (s.sort_key, s.label))
     res = [s.j.real for s in samples]
+    x0, x1, y0, y1 = DEFAULT_RECT
     bins = set()
     for s in samples:
         re, im = s.j.real, s.j.imag
         if two_dim:
-            if rect[0] <= re <= rect[1] and rect[2] <= im <= rect[3]:
+            if x0 <= re <= x1 and y0 <= im <= y1:
                 bins.add((math.floor(re / bin_width), math.floor(im / bin_width)))
         elif math.isfinite(re):  # overflowed cusp values carry no bin
             bins.add(math.floor(re / bin_width))
@@ -141,16 +118,8 @@ def _build_report(
         branch_counts=counts,
         denom_bound=denom_bound,
         seed=seed,
-        threads=threads,
         bin_width=bin_width,
     )
-
-
-def _map_chunked(fun, items: list, threads: int) -> list:
-    if threads <= 1 or len(items) < 2 * threads:
-        return [fun(x) for x in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fun, items, chunksize=max(1, len(items) // (4 * threads))))
 
 
 def _family_samples(
@@ -159,14 +128,13 @@ def _family_samples(
     parity: Parity,
     family: str,
     sample,
-    threads: int,
 ) -> list[SamplePoint]:
     """Samples of a real family, one per pair (m, n), in the order of pairs.
 
     triple(m, n) is the exact point of the pair. That point depends on the
     ratio m/n only, and pairs holds the reduced form of each of its ratios, so
-    the triple, its parity check and j_numeric run once per reduced ratio (in
-    the thread pool); every other pair reuses the j of its reduced ratio.
+    the triple, its parity check and j_numeric run once per reduced ratio;
+    every other pair reuses the j of its reduced ratio.
     sample(pair, j) builds the sample.
     """
     ratios = [pair for pair in pairs if math.gcd(*pair) == 1]
@@ -178,7 +146,7 @@ def _family_samples(
             raise InternalCheckError(f"family member {family}({m},{n}) is not {parity.value}")
         return j_numeric(complex(tau))
 
-    j_of = dict(zip(ratios, _map_chunked(evaluate, ratios, threads)))
+    j_of = {ratio: evaluate(ratio) for ratio in ratios}
     samples = []
     for pair in pairs:
         m, n = pair
@@ -223,14 +191,10 @@ def sample_odd(cfg: DensityConfig) -> CoverageReport:
             branch="T2",
             parity=Parity.ODD,
             degree=m * n // (g * g),
-            sort_key=pair,
         )
 
-    threads = thread_count()
-    samples = _family_samples(pairs, triple, Parity.ODD, "", sample, threads)
-    report = _build_report(
-        cfg.mode, samples, cfg.bin_width, cfg.rect, False, n_max, None, threads
-    )
+    samples = _family_samples(pairs, triple, Parity.ODD, "", sample)
+    report = _build_report(cfg.mode, samples, cfg.bin_width, False, n_max, None)
     if not report.all_below_1728:
         raise InternalCheckError("odd family produced a j at or above 1728")
     return report
@@ -254,7 +218,6 @@ def sample_even(cfg: DensityConfig) -> CoverageReport:
     n_max = cfg.denom_bound
     axis = range(1, n_max + 1)
     line = range(1, n_max + 1, 2 if d % 4 == 1 else 1)
-    threads = thread_count()
 
     def sampler(branch: str):
         def sample(pair: tuple[int, int], j: complex) -> SamplePoint:
@@ -265,7 +228,6 @@ def sample_even(cfg: DensityConfig) -> CoverageReport:
                 branch=branch,
                 parity=Parity.EVEN,
                 degree=None,
-                sort_key=(branch, m, n),
             )
 
         return sample
@@ -276,7 +238,6 @@ def sample_even(cfg: DensityConfig) -> CoverageReport:
         Parity.EVEN,
         "T1",
         sampler("T1"),
-        threads,
     )
     samples += _family_samples(
         [(m, n) for m in line for n in line if 4 * m * m * abs_d > n * n],  # t > 1/2
@@ -284,11 +245,8 @@ def sample_even(cfg: DensityConfig) -> CoverageReport:
         Parity.EVEN,
         "T2",
         sampler("T2"),
-        threads,
     )
-    return _build_report(
-        cfg.mode, samples, cfg.bin_width, cfg.rect, False, n_max, None, threads
-    )
+    return _build_report(cfg.mode, samples, cfg.bin_width, False, n_max, None)
 
 
 def _draw_matrix(rng: random.Random, numerator_bound: int = 40, denom_bound: int = 15) -> RatMatrix2:
@@ -307,7 +265,7 @@ def _draw_matrix(rng: random.Random, numerator_bound: int = 40, denom_bound: int
 
 def sample_complex(cfg: DensityConfig) -> CoverageReport:
     """j-values of seeded random odd-group images of the base point, with
-    two-dimensional bin coverage over the configured rectangle.
+    two-dimensional bin coverage over DEFAULT_RECT.
 
     Parity transport is asserted on every draw.
     """
@@ -317,10 +275,8 @@ def sample_complex(cfg: DensityConfig) -> CoverageReport:
     base_parity = parity_of_tau(base)
     rng = random.Random(cfg.seed)
     matrices = [_draw_matrix(rng) for _ in range(cfg.draws)]
-    threads = thread_count()
 
-    def evaluate(item: tuple[int, RatMatrix2]) -> SamplePoint:
-        idx, matrix = item
+    def evaluate(matrix: RatMatrix2) -> SamplePoint:
         iso = odd_isogeny(matrix, base)
         moved = iso.source_tau
         if parity_of_tau(moved) is not base_parity:
@@ -335,13 +291,10 @@ def sample_complex(cfg: DensityConfig) -> CoverageReport:
             branch=None,
             parity=base_parity,
             degree=iso.degree,
-            sort_key=(idx,),
         )
 
-    samples = _map_chunked(evaluate, list(enumerate(matrices)), threads)
-    return _build_report(
-        cfg.mode, samples, cfg.bin_width, cfg.rect, True, None, cfg.seed, threads
-    )
+    samples = [evaluate(m) for m in matrices]
+    return _build_report(cfg.mode, samples, cfg.bin_width, True, None, cfg.seed)
 
 
 def coverage_report_from_points(points: list[CMClassPoint]) -> CoverageReport:
@@ -353,13 +306,10 @@ def coverage_report_from_points(points: list[CMClassPoint]) -> CoverageReport:
             branch="T2",
             parity=Parity.ODD,
             degree=None,
-            sort_key=(p.beta,),
         )
         for p in points
     ]
-    return _build_report(
-        Mode.ODD_REAL, samples, 100.0, DEFAULT_RECT, False, None, None, 1
-    )
+    return _build_report(Mode.ODD_REAL, samples, 100.0, False, None, None)
 
 
 def fmt_float(x: float) -> str:
@@ -401,7 +351,6 @@ def emit(report: CoverageReport, fmt: str = "csv") -> bytes:
             "mode": report.mode.value,
             "denom_bound": report.denom_bound,
             "seed": report.seed,
-            "threads": report.threads,
             "bin_width": report.bin_width,
             "sample_count": len(report.samples),
             "min_j": _json_num(report.min_j),

@@ -85,8 +85,9 @@ def enumerate_real_odd_cm(D: int) -> list[CMClassPoint]:
         raise ValueError("discriminant must be negative")
     if D % 4 != 1:
         raise ValueError("discriminant must be congruent to 1 mod 4")
+    divisors = saturated_divisors(D)
     points: list[CMClassPoint] = []
-    for beta in saturated_divisors(D):
+    for beta in divisors:
         if beta * beta >= abs(D):
             continue
         tau = tau_from_beta(D, beta)
@@ -103,7 +104,7 @@ def enumerate_real_odd_cm(D: int) -> list[CMClassPoint]:
             raise InternalCheckError(f"j({tau}) = {j} is not below 1728")
         points.append(CMClassPoint(beta, tau, j.real))
 
-    expected = 2 ** (len(factorize(D).factors) - 1)
+    expected = len(divisors) // 2
     if len(points) != expected:
         raise InternalCheckError(f"expected {expected} points, found {len(points)}")
     if min(points, key=lambda p: p.j_estimate).beta != 1:

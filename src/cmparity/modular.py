@@ -123,7 +123,9 @@ def _j_cusp_asymptotic(z: complex) -> complex:
     When even the leading term exceeds the double range the components
     overflow to signed infinities; a component whose phase factor vanishes
     (points on the real-j locus) stays exactly zero instead of picking up
-    rounding noise times infinity.
+    rounding noise times infinity. Only a factor within the rounding of the
+    phase itself counts as vanishing (sin(fl(pi)) is about 1.2e-16), so a
+    point just off the locus keeps its infinite imaginary part.
     """
     theta = -2.0 * math.pi * z.real
     grow = 2.0 * math.pi * z.imag
@@ -133,7 +135,7 @@ def _j_cusp_asymptotic(z: complex) -> complex:
         return complex(mag * cos_t + 744.0, mag * sin_t)
 
     def overflow(component: float) -> float:
-        if abs(component) < 1e-12:
+        if abs(component) <= abs(theta) * 2.0**-52:
             return 0.0
         return math.copysign(math.inf, component)
 

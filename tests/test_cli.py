@@ -42,6 +42,14 @@ def test_classify_json(capsys):
     assert record["parity"] == "odd" and record["branch"] == "T2"
 
 
+def test_repeated_calls_keep_their_own_format(capsys):
+    # the parser is built once per process; options must not leak between calls
+    code, out, _ = run_cli(capsys, "classify", "--tau", "1,-1,1", "--json")
+    assert code == 0 and json.loads(out)["parity"] == "odd"
+    code, out, _ = run_cli(capsys, "classify", "--tau", "1,-1,1")
+    assert code == 0 and out.startswith("disc=-3 ")
+
+
 def test_classify_huge_non_real_point(capsys):
     code, out, _ = run_cli(capsys, "classify", "--tau", "10000019,1,20000000001", "--json")
     assert code == 0
@@ -118,8 +126,10 @@ def test_density_odd_summary_and_file(tmp_path, capsys):
         "--max-denominator", "9", "--out", str(out_file),
     )
     assert code == 0
-    assert "all_below_1728=true" in out
-    assert "max_j=1691.57684606" in out
+    assert out == (
+        "samples=18 min_j=-1.85576290573e+21 max_j=1691.57684606 bins_hit=13 "
+        "all_below_1728=true\n"
+    )
     lines = out_file.read_text().strip().split("\n")
     assert lines[0] == "label,re_j,im_j,branch,parity,degree"
     assert len(lines) == 19  # header + 18 samples

@@ -200,10 +200,13 @@ def test_emit_enumeration_rows_sorted_by_divisor():
 def test_emit_json_fields():
     report = sample_odd(odd_cfg(3))
     payload = json.loads(emit(report, "json"))
+    assert set(payload) == {
+        "mode", "denom_bound", "seed", "bin_width", "sample_count", "min_j", "max_j",
+        "bins_hit", "all_below_1728", "branch_counts", "samples",
+    }
     assert payload["mode"] == "odd"
     assert payload["sample_count"] == len(report.samples)
     assert payload["all_below_1728"] is True
-    assert payload["threads"] >= 1
     assert payload["branch_counts"] == {"T2": len(report.samples)}
     assert all(set(s) == {"label", "re_j", "im_j", "branch", "parity", "degree"} for s in payload["samples"])
 
@@ -222,37 +225,17 @@ def test_nonfinite_json_is_strict():
     assert b"Infinity" not in data
 
 
-def test_thread_count_does_not_change_output(monkeypatch):
-    cfg = odd_cfg(7)
-    monkeypatch.setenv("CMPARITY_THREADS", "1")
-    single = emit(sample_odd(cfg), "csv")
-    monkeypatch.setenv("CMPARITY_THREADS", "4")
-    pooled = sample_odd(cfg)
-    assert pooled.threads == 4
-    assert emit(pooled, "csv") == single
-
-
-def test_thread_count_env_validation(monkeypatch):
-    from cmparity.density import thread_count
-
-    monkeypatch.setenv("CMPARITY_THREADS", "3")
-    assert thread_count() == 3
-    monkeypatch.setenv("CMPARITY_THREADS", "0")
-    with pytest.raises(ValueError):
-        thread_count()
-
-
 # Output bytes must survive every speed-up: these hashes come from the
-# per-pair Fraction implementation. The JSON report records CMPARITY_THREADS.
+# per-pair Fraction implementation (the JSON one without its former
+# "threads" field).
 PINNED_SHA256 = {
     "odd-99-csv": "de879b45f22e6cf88988dfd2a82db7ed8f8034d3450fbb6d86e8df059fcd05d9",
     "even-1,0,1-30-csv": "9d7a75d13912e94380a5ffe6880fc67ecc5baafdc80fd4a3731d04eb903f1929",
-    "complex-42-1000-json": "e6bbcafd7bf82cf7f05fa74adc74d37cc2b8c6f40250996b8df771483c6633fc",
+    "complex-42-1000-json": "8e1d563a627aa4c6e5e2eca04db8fb20112cb963f69dd20fb338fb73821513ab",
 }
 
 
-def test_reports_match_pinned_bytes(monkeypatch):
-    monkeypatch.setenv("CMPARITY_THREADS", "1")
+def test_reports_match_pinned_bytes():
     reports = {
         "odd-99-csv": emit(sample_odd(odd_cfg(99)), "csv"),
         "even-1,0,1-30-csv": emit(sample_even(even_cfg(TauExact(1, 0, 1), 30)), "csv"),

@@ -116,6 +116,20 @@ def test_enumerate_minus_1155():
     assert [p.beta for p in points] == [1, 3, 5, 7, 11, 15, 21, 33]
 
 
+def test_enumerate_factors_d_once(monkeypatch):
+    from cmparity import enumeration
+
+    calls = []
+
+    def counted(n):
+        calls.append(n)
+        return factorize(n)
+
+    monkeypatch.setattr(enumeration, "factorize", counted)
+    assert len(enumerate_real_odd_cm(-1155)) == 8
+    assert calls == [-1155]
+
+
 def test_enumerate_validation():
     with pytest.raises(ValueError):
         enumerate_real_odd_cm(15)

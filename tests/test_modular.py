@@ -115,26 +115,49 @@ def test_is_real_j_more_classes():
 
 
 # reduced, not ambiguous, and far up the cusp: Im j / |j| is about 3e-7 and 3e-9
-# for the first two; the third lies above the height where j overflows doubles
-HUGE_NON_REAL = [(10000019, 1, 20000000001), (10**9 + 7, 1, 10**12), (2, 1, 10**6)]
+# for the first two; the others lie above the height where j overflows doubles,
+# the last three with real part within 5e-14 of 0 or 1/2 (Im j / |j| down to 3e-15)
+HUGE_NON_REAL = [
+    (10000019, 1, 20000000001),
+    (10**9 + 7, 1, 10**12),
+    (2, 1, 10**6),
+    (10**13, 1, 10**18),
+    (10**15, 1, 10**20),
+    (10**15, -(10**15 - 1), 10**20),
+]
+# reduced and ambiguous above the overflow height: j is real, on either branch
+HUGE_REAL = [(1, 0, 10**6), (1, -1, 10**6), (10**13, 0, 10**18), (10**13, -10**13, 10**18)]
+# 50 digits leave Im j / |j| below 1e-50 on real points and resolve the
+# smallest non-real ratio above (3e-15) exactly; this splits the two
+MPMATH_REAL_RATIO = 1e-30
+
+
+def mpmath_im_ratio(a, b, c):
+    """|Im j| / |j| at the point of the triple, from mpmath at 50 digits."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        tau = mpmath.mpc(mpmath.mpf(-b) / (2 * a), mpmath.sqrt(4 * a * c - b * b) / (2 * a))
+        j = 1728 * mpmath.kleinj(tau)
+        return abs(j.imag) / abs(j)
 
 
 @pytest.mark.parametrize("triple", HUGE_NON_REAL)
 def test_is_real_j_huge_points_are_not_real(triple):
-    # |j| is about 1e122 and 1e86, where a tolerance relative to |j| would call
-    # j real; for the third Im j overflows to infinity
+    # |j| is about 1e122 and 1e86 for the first two, where a tolerance relative
+    # to |j| would call j real; for the others Im j overflows to infinity
     assert is_real_j(TauExact(*triple)) is False
 
 
 @pytest.mark.parametrize("triple", HUGE_NON_REAL)
 def test_is_real_j_huge_points_against_mpmath(triple):
-    mpmath = pytest.importorskip("mpmath")
-    a, b, c = triple
-    with mpmath.workdps(50):
-        tau = mpmath.mpc(mpmath.mpf(-b) / (2 * a), mpmath.sqrt(4 * a * c - b * b) / (2 * a))
-        j = 1728 * mpmath.kleinj(tau)
-        assert abs(j.imag) / abs(j) > 1e-9
-    assert is_real_j(TauExact(a, b, c)) is False
+    assert mpmath_im_ratio(*triple) > MPMATH_REAL_RATIO
+    assert is_real_j(TauExact(*triple)) is False
+
+
+@pytest.mark.parametrize("triple", HUGE_REAL)
+def test_is_real_j_huge_ambiguous_points_are_real(triple):
+    assert is_real_j(TauExact(*triple)) is True
+    assert mpmath_im_ratio(*triple) < MPMATH_REAL_RATIO
 
 
 def test_t_representative_examples():
