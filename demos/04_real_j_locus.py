@@ -4,7 +4,9 @@ j takes every real value exactly once on the union of two curves: the
 imaginary axis from i upward (values from 1728 to +infinity, increasing) and
 the vertical line at real part 1/2 (values from 1728 down to -infinity,
 decreasing). A CM point has real j exactly when its reduced form is
-ambiguous, and the unique locus point with the same j is found by bisection.
+ambiguous, and the unique locus point with the same j is read off the reduced
+form: such a point lies on the axis, on the line, or on the unit arc, which
+tau -> tau/(tau + 1) carries onto the line.
 """
 
 import math

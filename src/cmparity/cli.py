@@ -14,12 +14,30 @@ import json
 import sys
 from fractions import Fraction
 
-from .density import fmt_float
+from .cmpoints import TauExact, order_of_tau, parity_of_tau
+from .density import (
+    DensityConfig,
+    Mode,
+    emit,
+    fmt_float,
+    sample_complex,
+    sample_even,
+    sample_odd,
+)
+from .enumeration import enumerate_real_odd_cm, min_j_gap
+from .errors import InternalCheckError
+from .isogenies import RatMatrix2, odd_isogeny
+from .modular import is_real_j, j_numeric, t_representative
+from .quadorders import (
+    canonical_generator,
+    order_discriminant,
+    parity,
+    quad_order,
+    trace_lattice,
+)
 
 
 def _parse_triple(text: str):
-    from .cmpoints import TauExact
-
     parts = text.split(",")
     if len(parts) != 3:
         raise ValueError("expected three comma-separated integers a,b,c")
@@ -28,8 +46,6 @@ def _parse_triple(text: str):
 
 
 def _parse_matrix(text: str):
-    from .isogenies import RatMatrix2
-
     parts = text.split(",")
     if len(parts) != 4:
         raise ValueError("expected four comma-separated rationals a,b,c,d")
@@ -37,9 +53,6 @@ def _parse_matrix(text: str):
 
 
 def _cmd_classify(args) -> int:
-    from .cmpoints import order_of_tau, parity_of_tau
-    from .modular import is_real_j, t_representative
-
     tau = _parse_triple(args.tau)
     order = order_of_tau(tau)
     par = parity_of_tau(tau)
@@ -75,14 +88,6 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_order(args) -> int:
-    from .quadorders import (
-        canonical_generator,
-        order_discriminant,
-        parity,
-        quad_order,
-        trace_lattice,
-    )
-
     order = quad_order(args.squarefree, args.conductor)
     disc = order_discriminant(order)
     par = parity(order)
@@ -108,8 +113,6 @@ def _cmd_order(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
-    from .enumeration import enumerate_real_odd_cm, min_j_gap
-
     if args.disc >= 0 or args.disc % 4 != 1:
         print(
             "error: discriminant must be negative and congruent to 1 mod 4",
@@ -139,8 +142,6 @@ def _cmd_enumerate(args) -> int:
 
 
 def _cmd_isogeny(args) -> int:
-    from .isogenies import odd_isogeny
-
     matrix = _parse_matrix(args.matrix)
     tau = _parse_triple(args.tau)
     iso = odd_isogeny(matrix, tau)
@@ -164,8 +165,6 @@ def _cmd_isogeny(args) -> int:
 
 
 def _cmd_jvalue(args) -> int:
-    from .modular import j_numeric
-
     if (args.tau is None) == (args.point is None):
         print("error: give exactly one of --tau or --point", file=sys.stderr)
         return 2
@@ -185,15 +184,6 @@ def _cmd_jvalue(args) -> int:
 
 
 def _cmd_density(args) -> int:
-    from .density import (
-        DensityConfig,
-        Mode,
-        emit,
-        sample_complex,
-        sample_even,
-        sample_odd,
-    )
-
     mode = Mode(args.mode)
     cfg = DensityConfig(
         mode=mode,
@@ -281,8 +271,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    from .errors import InternalCheckError
-
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

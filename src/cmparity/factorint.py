@@ -39,9 +39,6 @@ class FactoredInt:
             n *= p**e
         return n
 
-    def prime_count(self) -> int:
-        return len(self.factors)
-
 
 def is_prime(n: int) -> bool:
     """Deterministic Miller-Rabin, valid for all n handled here (< 3.3e24)."""
@@ -100,7 +97,10 @@ def factorize(n: int) -> FactoredInt:
     return FactoredInt(sign, tuple(factors))
 
 
-@lru_cache(maxsize=None)
+# Holds the repeats within one call (enumerate asks for the order of D once
+# per beta, and SquarefreeInt checks d again); bounded, so a long-lived
+# process making many lookups does not grow with them.
+@lru_cache(maxsize=128)
 def squarefree_decompose(n: int) -> tuple[int, int]:
     """Write n = s**2 * d with d squarefree and sign(d) = sign(n); returns (s, d)."""
     fi = factorize(n)

@@ -4,12 +4,13 @@ j is evaluated from q-expansions after reducing the point to the standard
 fundamental domain, where |q| <= exp(-pi*sqrt(3)) makes the series converge in
 a handful of terms. The real-j locus splits into two branches, the imaginary
 axis from i upward (j >= 1728, increasing) and the vertical line at real part
-1/2 (j < 1728, decreasing); each branch function is strictly monotone, so
-points are located by bisection.
+1/2 (j < 1728, decreasing).
 
-The locus contains line points below the fundamental domain (imaginary part
-between 1/2 and sqrt(3)/2); those are reached by monotone inversion of the
-branch function, never by matrix gymnastics.
+A CM point has real j exactly when its reduced form is ambiguous, and then it
+lies on the axis, on the line, or on the unit arc, which z -> z/(z + 1) carries
+onto the line below the fundamental domain (imaginary part between 1/2 and
+sqrt(3)/2). So the locus point with the same j is read off the reduced triple
+in closed form, with one int division and one square root in floats.
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ SERIES_MAX_TERMS = 64
 RE_Z_ERR = 1e-13
 REAL_J_ABS_TOL = 1e-12
 BRANCH_RESIDUAL_TOL = 1e-6
-BISECT_T_TOL = 1e-12
 F_CURVE_IMAG_TOL = 1e-9
 
 J_SPLIT = 1728.0  # branch junction value j(i)
@@ -235,47 +235,38 @@ def f_curve(t: float) -> float:
     return j.real
 
 
-def _bisect_increasing(fun, lo: float, hi: float, target: float) -> float:
-    for _ in range(256):
-        if hi - lo <= BISECT_T_TOL:
-            break
-        mid = 0.5 * (lo + hi)
-        if fun(mid) < target:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
 def t_representative(t: TauExact) -> TPoint:
     """Locate the unique real-locus point with the same j as tau.
 
-    Values at or above 1728 go to branch T1 (so j = 1728 maps to (T1, 1)),
-    values below to branch T2; each branch is found by bisection against the
-    strictly monotone branch function.
+    The point is read off the reduced triple (a, b, c), b in [-a, a). If b = 0,
+    tau is i*sqrt(c/a) on the axis (branch T1, so j = 1728 maps to (T1, 1)).
+    If b = -a, tau is 1/2 + i*sqrt((4c - a)/a)/2 on the line. Otherwise a = c
+    puts tau on the unit arc, which z -> z/(z + 1) carries to the line point
+    1/2 + i*sqrt((2a + |b|)/(2a - |b|))/2. Each ratio is an int true division,
+    correctly rounded however large the triple. The branch function at the
+    result is checked against j at the reduced point: the float image of a
+    large unreduced triple can lose digits in the numeric reduction.
     """
     if not is_real_j(t):
         raise NotRealJError(f"{t} does not have a real j-invariant")
-    target = j_numeric(complex(t)).real
-    if abs(target - J_SPLIT) <= 1e-9 * (1.0 + J_SPLIT):
-        # junction tie-break: j = 1728 belongs to branch T1 at t = 1, and the
-        # axis curve is flat there, so bisection noise is avoided outright
-        return TPoint("T1", 1.0)
-    if target >= J_SPLIT:
-        lo, hi = 1.0, 2.0
-        while axis_curve(hi) < target:
-            lo, hi = hi, hi * 2.0
-        result = TPoint("T1", _bisect_increasing(axis_curve, lo, hi, target))
+    reduced, _ = reduce_fundamental(t)
+    a, b, c = reduced.a, reduced.b, reduced.c
+    if b == 0:
+        result = TPoint("T1", math.sqrt(c / a))
+    elif b == -a:
+        result = TPoint("T2", 0.5 * math.sqrt((4 * c - a) / a))
     else:
-        lo, hi = 0.5, 1.0
-        while f_curve(hi) > target:
-            lo, hi = hi, hi * 2.0
-        # f decreases; bisect on -f to reuse the increasing search
-        tt = _bisect_increasing(lambda x: -f_curve(x), lo, hi, -target)
-        result = TPoint("T2", tt)
-    residual = abs(j_numeric(complex(result)) - target)
-    if residual >= BRANCH_RESIDUAL_TOL * (1.0 + abs(target)):
+        # t rounds to 1/2 when a = c is about 2**51 or more and |b| is small
+        arc = 0.5 * math.sqrt((2 * a + abs(b)) / (2 * a - abs(b)))
+        result = TPoint("T2", max(arc, math.nextafter(0.5, 1.0)))
+    target = j_numeric(complex(reduced)).real
+    on_branch = axis_curve(result.t) if result.branch == "T1" else f_curve(result.t)
+    # equal infinities agree; NaN, or an infinity against anything else, fails
+    if on_branch != target and not (
+        math.isfinite(target)
+        and abs(on_branch - target) <= BRANCH_RESIDUAL_TOL * (1.0 + abs(target))
+    ):
         raise InternalCheckError(
-            f"branch inversion residual {residual} too large for {t}"
+            f"branch value {on_branch} at {result} disagrees with j = {target} for {t}"
         )
     return result

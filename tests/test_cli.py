@@ -18,7 +18,7 @@ def test_classify_odd_point(capsys):
     assert "parity=odd" in out
     assert "real_j=true" in out
     assert "branch=T2" in out
-    assert "t=0.866025403" in out
+    assert "t=0.866025403784" in out  # sqrt(3)/2 correctly rounded
 
 
 def test_classify_even_point(capsys):
@@ -60,6 +60,16 @@ def test_classify_non_real_point_past_overflow_height(capsys):
     code, out, _ = run_cli(capsys, "classify", "--tau", "2,1,1000000", "--json")
     assert code == 0
     assert json.loads(out)["real_j"] is False
+
+
+def test_classify_real_points_past_overflow_height(capsys):
+    # j overflows doubles here; t comes from the triple, not from j
+    code, out, _ = run_cli(capsys, "classify", "--tau", "1,0,1000000")
+    assert code == 0
+    assert out.endswith(" real_j=true branch=T1 t=1000\n")
+    code, out, _ = run_cli(capsys, "classify", "--tau", "1,-1,1000000", "--json")
+    assert code == 0
+    assert json.loads(out)["branch"] == "T2"
 
 
 def test_classify_invalid_triple(capsys):

@@ -1,0 +1,26 @@
+"""The demos run end to end. The density demo (06) takes seconds and is left
+out."""
+
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+DEMO_DIR = Path(__file__).resolve().parent.parent / "demos"
+DEMOS = [
+    "01_order_parity.py",
+    "02_cm_points.py",
+    "03_odd_isogenies.py",
+    "04_real_j_locus.py",
+    "05_enumerate_discriminants.py",
+]
+
+
+@pytest.mark.parametrize("demo", DEMOS)
+def test_demo_runs(demo):
+    proc = subprocess.run(
+        [sys.executable, str(DEMO_DIR / demo)], capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip()

@@ -46,3 +46,13 @@ def test_squarefree_decompose():
         s, d = squarefree_decompose(n)
         assert s * s * d == n
         assert is_squarefree(d) or d == 1
+
+
+def test_squarefree_decompose_cache_is_bounded():
+    # a long-lived process asks for many distinct values; the cache must not
+    # keep them all
+    limit = squarefree_decompose.cache_info().maxsize
+    assert limit is not None
+    for n in range(2, 2 + 2 * limit):
+        squarefree_decompose(n)
+    assert squarefree_decompose.cache_info().currsize <= limit

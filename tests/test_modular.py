@@ -4,6 +4,7 @@ import random
 import pytest
 
 from cmparity import (
+    InternalCheckError,
     NotRealJError,
     RatMatrix2,
     TauExact,
@@ -15,6 +16,7 @@ from cmparity import (
     reduce_fundamental,
     t_representative,
 )
+from cmparity import modular
 from cmparity.modular import TPoint
 
 from conftest import random_tau, random_unimodular
@@ -132,12 +134,16 @@ HUGE_REAL = [(1, 0, 10**6), (1, -1, 10**6), (10**13, 0, 10**18), (10**13, -10**1
 MPMATH_REAL_RATIO = 1e-30
 
 
+def mpmath_tau(mpmath, a, b, c):
+    """The point of the triple at mpmath's working precision."""
+    return mpmath.mpc(mpmath.mpf(-b) / (2 * a), mpmath.sqrt(4 * a * c - b * b) / (2 * a))
+
+
 def mpmath_im_ratio(a, b, c):
     """|Im j| / |j| at the point of the triple, from mpmath at 50 digits."""
     mpmath = pytest.importorskip("mpmath")
     with mpmath.workdps(50):
-        tau = mpmath.mpc(mpmath.mpf(-b) / (2 * a), mpmath.sqrt(4 * a * c - b * b) / (2 * a))
-        j = 1728 * mpmath.kleinj(tau)
+        j = 1728 * mpmath.kleinj(mpmath_tau(mpmath, a, b, c))
         return abs(j.imag) / abs(j)
 
 
@@ -167,6 +173,89 @@ def test_t_representative_examples():
     assert rep.branch == "T2" and abs(rep.t - math.sqrt(3) / 2) < 1e-9
     rep = t_representative(TauExact(1, 0, 2))
     assert rep.branch == "T1" and abs(rep.t - math.sqrt(2)) < 1e-9
+
+
+# the locus point of each HUGE_REAL triple; every ratio is an integer there
+HUGE_REAL_LOCUS = [
+    TPoint("T1", 1000.0),
+    TPoint("T2", math.sqrt(3999999) / 2),
+    TPoint("T1", math.sqrt(10**5)),
+    TPoint("T2", math.sqrt(399999) / 2),
+]
+
+
+@pytest.mark.parametrize("triple, expected", zip(HUGE_REAL, HUGE_REAL_LOCUS))
+def test_t_representative_huge_real_points(triple, expected):
+    # j overflows doubles on all four, so j alone cannot place the point
+    assert t_representative(TauExact(*triple)) == expected
+
+
+def test_t_representative_arc_points_next_to_i():
+    # j is just below 1728: the point is on the line, not at the junction (T1, 1)
+    rep = t_representative(TauExact(10**6, 1, 10**6))
+    assert rep.branch == "T2" and rep.t == pytest.approx(0.50000025, rel=1e-12)
+    # t is within half an ulp of 1/2, which branch T2 excludes
+    assert t_representative(TauExact(10**16, 1, 10**16)) == TPoint("T2", math.nextafter(0.5, 1.0))
+
+
+def test_t_representative_of_large_unreduced_triple():
+    # the float point of this triple loses digits in the numeric reduction; t
+    # follows the exact reduction to (47, -47, 542), where t = sqrt(2121/47)/2
+    moved = TauExact(57283960024952, -37747546504261, 6218482741376)
+    assert reduce_fundamental(moved)[0] == TauExact(47, -47, 542)
+    assert t_representative(moved) == TPoint("T2", math.sqrt(2121 / 47) / 2)
+
+
+@pytest.mark.parametrize(
+    "triple, branch_value",
+    [
+        ((1, 0, 2), math.nan),
+        ((1, 0, 2), math.inf),
+        ((1, 0, 10**6), -math.inf),
+        ((1, 0, 10**6), math.nan),
+    ],
+)
+def test_t_representative_cross_check_rejects_disagreement(monkeypatch, triple, branch_value):
+    # j is finite at (1, 0, 2) and +inf at (1, 0, 10**6); only equal
+    # infinities or values within the tolerance agree, and NaN never does
+    monkeypatch.setattr(modular, "axis_curve", lambda t: branch_value)
+    with pytest.raises(InternalCheckError):
+        t_representative(TauExact(*triple))
+
+
+def ambiguous_reduced_triples(bound):
+    """Every primitive reduced triple with a < bound and b = 0, b = -a or
+    a = c; on the axis and the line, c runs over a, ..., a + 39."""
+    for a in range(1, bound):
+        for b in range(-a, a):
+            for c in range(a, a + 40) if b in (0, -a) else (a,):
+                if math.gcd(math.gcd(a, b), c) == 1:
+                    yield a, b, c
+
+
+def mpmath_locus_t(mpmath, a, b, c):
+    """Im of the locus point of a reduced ambiguous triple: tau itself on the
+    axis and the line; for an arc point, z/(z + 1) with z the arc point of
+    real part <= 0, which that map carries onto the line."""
+    if b in (0, -a):
+        return mpmath_tau(mpmath, a, b, c).imag
+    z = mpmath_tau(mpmath, a, abs(b), c)
+    z = z / (z + 1)
+    assert abs(z.real - mpmath.mpf(1) / 2) < mpmath.mpf(10) ** -35
+    return z.imag
+
+
+def test_t_representative_against_mpmath_grid():
+    mpmath = pytest.importorskip("mpmath")
+    count = 0
+    with mpmath.workdps(40):
+        for a, b, c in ambiguous_reduced_triples(80):
+            rep = t_representative(TauExact(a, b, c))
+            assert rep.branch == ("T1" if b == 0 else "T2"), (a, b, c)
+            exact = mpmath_locus_t(mpmath, a, b, c)
+            assert abs(mpmath.mpf(rep.t) - exact) <= 2 * math.ulp(rep.t), (a, b, c)
+            count += 1
+    assert count > 5000
 
 
 def test_t_representative_rejects_non_real():
