@@ -12,7 +12,6 @@ import argparse
 import functools
 import json
 import sys
-from fractions import Fraction
 
 from .cmpoints import TauExact, order_of_tau, parity_of_tau
 from .density import (
@@ -27,7 +26,7 @@ from .density import (
 from .enumeration import enumerate_real_odd_cm, min_j_gap
 from .errors import InternalCheckError
 from .isogenies import RatMatrix2, odd_isogeny
-from .modular import is_real_j, j_numeric, t_representative
+from .modular import is_real_j, j_numeric, reduce_fundamental, t_representative
 from .quadorders import (
     canonical_generator,
     order_discriminant,
@@ -49,7 +48,7 @@ def _parse_matrix(text: str):
     parts = text.split(",")
     if len(parts) != 4:
         raise ValueError("expected four comma-separated rationals a,b,c,d")
-    return RatMatrix2(*(Fraction(p.strip()) for p in parts))
+    return RatMatrix2(*parts)
 
 
 def _cmd_classify(args) -> int:
@@ -169,7 +168,7 @@ def _cmd_jvalue(args) -> int:
         print("error: give exactly one of --tau or --point", file=sys.stderr)
         return 2
     if args.tau is not None:
-        z = complex(_parse_triple(args.tau))
+        z = complex(reduce_fundamental(_parse_triple(args.tau))[0])
     else:
         parts = args.point.split(",")
         if len(parts) != 2:

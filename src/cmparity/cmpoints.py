@@ -53,13 +53,6 @@ class QuadElement:
             self.d,
         )
 
-    def scale(self, r) -> "QuadElement":
-        r = Fraction(r)
-        return QuadElement(self.x * r, self.y * r, self.d)
-
-    def conjugate(self) -> "QuadElement":
-        return QuadElement(self.x, -self.y, self.d)
-
     def norm(self) -> Fraction:
         return self.x * self.x - self.y * self.y * self.d.value
 
@@ -128,27 +121,17 @@ class TauExact:
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "c", c)
-        object.__setattr__(self, "_element_cache", None)
 
     @property
     def disc(self) -> int:
         return self.b * self.b - 4 * self.a * self.c
 
     def as_element(self) -> QuadElement:
-        """tau as an exact element of Q(sqrt(d)), d the squarefree part of the disc.
-
-        Points built from a known field element keep it cached, so Moebius
-        images of huge height never need their discriminant factored.
-        """
-        cached = getattr(self, "_element_cache", None)
-        if cached is not None:
-            return cached
+        """tau as an exact element of Q(sqrt(d)), d the squarefree part of the disc."""
         m, d = squarefree_decompose(self.disc)
-        elem = QuadElement(
+        return QuadElement(
             Fraction(-self.b, 2 * self.a), Fraction(m, 2 * self.a), SquarefreeInt(d)
         )
-        object.__setattr__(self, "_element_cache", elem)
-        return elem
 
     def __complex__(self) -> complex:
         return complex(
@@ -167,9 +150,7 @@ def tau_from_element(z: QuadElement) -> TauExact:
     b = -2 * z.x
     c = z.x * z.x - z.y * z.y * z.d.value
     den = math.lcm(b.denominator, c.denominator)
-    t = TauExact(den, int(b * den), int(c * den))
-    object.__setattr__(t, "_element_cache", z)
-    return t
+    return TauExact(den, int(b * den), int(c * den))
 
 
 def order_of_tau(t: TauExact) -> QuadOrder:

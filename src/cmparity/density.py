@@ -13,7 +13,10 @@ The real families are built from the integers (m, n) directly: the filter
 and the exact triple are integer expressions, with no rationals. A member
 depends on the ratio m/n only, so its triple, its parity check and its j are
 evaluated once per reduced ratio, and the other pairs with that ratio reuse
-the j. Complex mode moves each drawn point once, inside odd_isogeny.
+the j. Complex mode draws each matrix as integer (numerator, denominator)
+pairs and moves the base point once, inside odd_isogeny, by the integer
+action of the matrix's primitive integer multiple: no rational is built on
+that path either.
 """
 
 from __future__ import annotations
@@ -26,7 +29,6 @@ import json
 import math
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .cmpoints import TauExact, parity_of_tau
 from .enumeration import CMClassPoint
@@ -250,15 +252,14 @@ def sample_even(cfg: DensityConfig) -> CoverageReport:
 
 
 def _draw_matrix(rng: random.Random, numerator_bound: int = 40, denom_bound: int = 15) -> RatMatrix2:
+    """A seeded odd-group matrix: entries p/q with |p| <= numerator_bound and
+    odd q <= denom_bound, drawn as integer pairs until in_odd_group holds."""
     while True:
-        entries = [
-            Fraction(
-                rng.randint(-numerator_bound, numerator_bound),
-                rng.randrange(1, denom_bound + 1, 2),
-            )
+        pairs = [
+            (rng.randint(-numerator_bound, numerator_bound), rng.randrange(1, denom_bound + 1, 2))
             for _ in range(4)
         ]
-        m = RatMatrix2(*entries)
+        m = RatMatrix2(*pairs)
         if in_odd_group(m):
             return m
 
@@ -282,9 +283,10 @@ def sample_complex(cfg: DensityConfig) -> CoverageReport:
         if parity_of_tau(moved) is not base_parity:
             raise InternalCheckError(f"parity transport violated by {matrix}")
         j = j_numeric(complex(moved))
-        digest = hashlib.md5(
-            repr(tuple(str(e) for e in matrix.entries())).encode()
-        ).hexdigest()[:12]
+        # each entry as str prints its Fraction p/q: "p" when q = 1
+        entries = (matrix.a, matrix.b, matrix.c, matrix.d)
+        text = repr(tuple(str(p) if q == 1 else f"{p}/{q}" for p, q in entries))
+        digest = hashlib.md5(text.encode()).hexdigest()[:12]
         return SamplePoint(
             label=digest,
             j=j,

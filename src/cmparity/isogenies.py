@@ -4,10 +4,10 @@ isogenies between CM lattices.
 A matrix with odd-denominator rational entries, positive determinant, and
 determinant whose reduced numerator is odd always produces an isogeny of odd
 degree from the lattice of the moved point back to the lattice of the original
-point. The construction scales the matrix integral by the least odd multiple,
-divides out the entry gcd, and reads the degree off the determinant; the
-degree always equals the lattice index of the multiplier, which is checked on
-every construction.
+point. It all runs on integers: entries are reduced (numerator, denominator)
+pairs, and a matrix acts on the triple (a, b, c) through its primitive integer
+multiple (A, B; C, D), whose determinant AD - BC is the degree. Each isogeny
+checks the moved triple by substituting (A*tau + B)/(C*tau + D) into its form.
 """
 
 from __future__ import annotations
@@ -15,106 +15,148 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
-from .cmpoints import Lattice, QuadElement, TauExact, lattice_of_tau, parity_of_tau, tau_from_element
+from .cmpoints import Lattice, QuadElement, TauExact, parity_of_tau
 from .errors import InternalCheckError, NotASublatticeError, NotInGroupError
+
+
+def _reduced(entry) -> tuple[int, int]:
+    """entry, a (numerator, denominator) pair of ints or anything Fraction
+    accepts, as its reduced pair with a positive denominator."""
+    try:
+        p, q = entry if isinstance(entry, tuple) else Fraction(entry).as_integer_ratio()
+    except ZeroDivisionError:  # a string such as "1/0"
+        q = 0
+    if q == 0:
+        raise ValueError(f"entry {entry!r} has a zero denominator")
+    g = math.gcd(p, q) if q > 0 else -math.gcd(p, q)
+    return p // g, q // g
 
 
 @dataclass(frozen=True)
 class RatMatrix2:
-    """2x2 rational matrix ((a, b), (c, d)).
+    """2x2 rational matrix ((a, b), (c, d)) of reduced (numerator, positive
+    denominator) pairs; the constructor also accepts ints and Fractions.
+    Odd-group conditions are enforced where odd-isogeny semantics need them."""
 
-    The constructor accepts any rationals; odd-denominator and determinant
-    conditions are enforced where odd-isogeny semantics require them.
-    """
-
-    a: Fraction
-    b: Fraction
-    c: Fraction
-    d: Fraction
+    a: tuple[int, int]
+    b: tuple[int, int]
+    c: tuple[int, int]
+    d: tuple[int, int]
 
     def __post_init__(self):
         for name in ("a", "b", "c", "d"):
-            object.__setattr__(self, name, Fraction(getattr(self, name)))
+            object.__setattr__(self, name, _reduced(getattr(self, name)))
 
     @classmethod
     def identity(cls) -> "RatMatrix2":
-        return cls(Fraction(1), Fraction(0), Fraction(0), Fraction(1))
+        return cls(1, 0, 0, 1)
 
     @classmethod
     def from_ints(cls, a: int, b: int, c: int, d: int) -> "RatMatrix2":
-        return cls(Fraction(a), Fraction(b), Fraction(c), Fraction(d))
+        return cls(a, b, c, d)
 
     @property
     def det(self) -> Fraction:
-        return self.a * self.d - self.b * self.c
+        a, b, c, d = self.entries()
+        return a * d - b * c
 
     def __matmul__(self, other: "RatMatrix2") -> "RatMatrix2":
-        return RatMatrix2(
-            self.a * other.a + self.b * other.c,
-            self.a * other.b + self.b * other.d,
-            self.c * other.a + self.d * other.c,
-            self.c * other.b + self.d * other.d,
-        )
+        a, b, c, d = self.entries()
+        e, f, g, h = other.entries()
+        return RatMatrix2(a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
 
     def entries(self) -> tuple[Fraction, Fraction, Fraction, Fraction]:
-        return (self.a, self.b, self.c, self.d)
+        return tuple(Fraction(p, q) for p, q in (self.a, self.b, self.c, self.d))
+
+    @cached_property
+    def primitive(self) -> tuple[int, int, int, int]:
+        """The primitive integer multiple (A, B, C, D): the entries scaled by the
+        lcm of the denominators, with their gcd divided out."""
+        n = math.lcm(self.a[1], self.b[1], self.c[1], self.d[1])
+        scaled = [p * (n // q) for p, q in (self.a, self.b, self.c, self.d)]
+        g = math.gcd(*scaled) or 1
+        return tuple(v // g for v in scaled)
+
+
+def _odd_scaled_det(m: RatMatrix2) -> int | None:
+    """det(m) times the product of the denominators, or None when one of them
+    is even. That product is then odd and positive, so the result has the sign
+    of det(m) and the parity of its reduced numerator."""
+    (p0, q0), (p1, q1), (p2, q2), (p3, q3) = m.a, m.b, m.c, m.d
+    if not q0 & q1 & q2 & q3 & 1:
+        return None
+    return p0 * p3 * q1 * q2 - p1 * p2 * q0 * q3
 
 
 def require_odd_group(m: RatMatrix2):
     """Check membership in the group of odd-denominator matrices with positive
     determinant that is an odd unit; raise NotInGroupError otherwise."""
-    for entry in m.entries():
-        if entry.denominator % 2 == 0:
-            raise NotInGroupError(f"entry {entry} has an even denominator")
-    det = m.det
-    if det <= 0:
-        raise NotInGroupError(f"determinant {det} is not positive")
-    if det.numerator % 2 == 0:
-        raise NotInGroupError(f"determinant {det} is not an odd unit")
+    n = _odd_scaled_det(m)
+    if n is None:
+        entry = next(e for e in m.entries() if e.denominator % 2 == 0)
+        raise NotInGroupError(f"entry {entry} has an even denominator")
+    if n <= 0:
+        raise NotInGroupError(f"determinant {m.det} is not positive")
+    if n % 2 == 0:
+        raise NotInGroupError(f"determinant {m.det} is not an odd unit")
 
 
 def in_odd_group(m: RatMatrix2) -> bool:
-    try:
-        require_odd_group(m)
-    except NotInGroupError:
-        return False
-    return True
+    n = _odd_scaled_det(m)
+    return n is not None and n > 0 and n % 2 == 1
 
 
 @dataclass(frozen=True)
 class Isogeny:
-    """Multiplication-by-u map from source to target lattice; degree is the
-    index of u*source inside target, verified at construction. source_tau is
-    the point whose lattice is source."""
+    """Multiplication by u = C*tau + D from [tau', 1] into [tau, 1], where
+    tau' = source_tau is (A*tau + B)/(C*tau + D) for tau = target_tau and the
+    integer matrix (A, B, C, D). As u*tau' = A*tau + B, the degree is the index
+    AD - BC of u*[tau', 1] in [tau, 1]; construction checks both facts."""
 
-    u: QuadElement
-    source: Lattice
-    target: Lattice
-    degree: int
+    matrix: tuple[int, int, int, int]
     source_tau: TauExact
+    target_tau: TauExact
+    degree: int
 
     def __post_init__(self):
-        idx = lattice_index(self.u, self.source, self.target)
-        if idx != self.degree:
-            raise InternalCheckError(
-                f"declared degree {self.degree} differs from lattice index {idx}"
-            )
+        A, B, C, D = self.matrix
+        s, t = self.source_tau, self.target_tau
+        # s(tau') * (C*tau + D)^2, expanded in tau, vanishes at tau exactly
+        # when it is a multiple of t's form, the minimal polynomial of tau
+        e2 = s.a * A * A + s.b * A * C + s.c * C * C
+        e1 = 2 * s.a * A * B + s.b * (A * D + B * C) + 2 * s.c * C * D
+        e0 = s.a * B * B + s.b * B * D + s.c * D * D
+        if e2 == 0 or e2 * t.b != e1 * t.a or e2 * t.c != e0 * t.a:
+            raise InternalCheckError(f"{s} is not the image of {t} under {self.matrix}")
+        if not 0 < self.degree == A * D - B * C:
+            raise InternalCheckError(f"declared degree {self.degree} is not {A * D - B * C}")
+
+    @property
+    def u(self) -> QuadElement:
+        """The multiplier C*tau + D as an element of Q(sqrt(d))."""
+        _, _, C, D = self.matrix
+        tau = self.target_tau.as_element()
+        return QuadElement(tau.x * C + D, tau.y * C, tau.d)
 
 
 def moebius(m: RatMatrix2, t: TauExact) -> TauExact:
     """The primitive triple of (a*tau + b)/(c*tau + d); requires det > 0.
 
-    The computation stays inside Q(sqrt(d)), so the squarefree part of the
-    discriminant is preserved.
+    With (A, B, C, D) the primitive integer multiple of m, tau = (D*tau' - B) /
+    (-C*tau' + A), so the form (a, b, c) of tau moves to the integer triple
+    below; the discriminant only gains the square factor (AD - BC)^2.
     """
-    if m.det <= 0:
+    A, B, C, D = m.primitive
+    if A * D - B * C <= 0:
         raise ValueError("matrix must have positive determinant")
-    tau = t.as_element()
-    one = QuadElement(Fraction(1), Fraction(0), tau.d)
-    num = tau.scale(m.a) + one.scale(m.b)
-    den = tau.scale(m.c) + one.scale(m.d)
-    return tau_from_element(num / den)
+    a, b, c = t.a, t.b, t.c
+    return TauExact(
+        a * D * D - b * C * D + c * C * C,
+        -2 * a * B * D + b * (A * D + B * C) - 2 * c * A * C,
+        a * B * B - b * A * B + c * A * A,
+    )
 
 
 def lattice_index(u: QuadElement, lat1: Lattice, lat2: Lattice) -> int:
@@ -141,32 +183,20 @@ def lattice_index(u: QuadElement, lat1: Lattice, lat2: Lattice) -> int:
 
 
 def odd_isogeny(m: RatMatrix2, t: TauExact) -> Isogeny:
-    """Construct the odd-degree isogeny from the lattice of m(tau) to the
-    lattice of tau carried by the multiplier c*tau + d of the integralized
-    matrix; the moved point m(tau) comes back as its source_tau.
+    """The odd-degree isogeny from the lattice of m(tau) to that of tau, carried
+    by C*tau + D for the primitive integer multiple (A, B; C, D) of m; the moved
+    point m(tau) is its source_tau.
 
-    The least odd integer clearing all denominators scales the matrix to
-    integer entries, and dividing out the entry gcd then minimizes the degree
-    available from this construction (that gcd is odd because the determinant
-    is); no claim is made that the resulting degree is minimal among all
-    isogenies between the two lattices.
+    Dividing out the entry gcd (odd, as the determinant is) minimizes the degree
+    AD - BC available from this construction; no claim is made that it is
+    minimal among all isogenies between the two lattices.
     """
     require_odd_group(m)
-    n = 1
-    for entry in m.entries():
-        n = math.lcm(n, entry.denominator)
-    scaled = [int(entry * n) for entry in m.entries()]
-    g = math.gcd(*scaled)
-    ia, ib, ic, idd = (v // g for v in scaled)
-    degree = ia * idd - ib * ic
+    A, B, C, D = m.primitive
+    degree = A * D - B * C
     if degree <= 0 or degree % 2 == 0:
         raise InternalCheckError(f"constructed degree {degree} is not odd positive")
-
-    tau = t.as_element()
-    one = QuadElement(Fraction(1), Fraction(0), tau.d)
-    u = tau.scale(ic) + one.scale(idd)
-    moved = moebius(m, t)
-    return Isogeny(u, lattice_of_tau(moved), lattice_of_tau(t), degree, moved)
+    return Isogeny((A, B, C, D), moebius(m, t), t, degree)
 
 
 def parity_transport_check(m: RatMatrix2, t: TauExact) -> bool:
@@ -174,4 +204,3 @@ def parity_transport_check(m: RatMatrix2, t: TauExact) -> bool:
     matrices in the odd group, so a False return signals a defect."""
     require_odd_group(m)
     return parity_of_tau(moebius(m, t)) == parity_of_tau(t)
-

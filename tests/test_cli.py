@@ -113,6 +113,33 @@ def test_isogeny_command(capsys):
     assert "degree=15" in out
 
 
+def test_isogeny_output_pinned(capsys):
+    # taken from the Fraction-based Moebius action, before it moved to integers
+    argv = ("isogeny", "--matrix", "3/5,0,0,1", "--tau", "1,0,1")
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert out == "degree=15 u=(5 + 0*sqrt(-1)) source=(25,0,9) target=(1,0,1)\n"
+    code, out, _ = run_cli(capsys, *argv, "--json")
+    assert code == 0
+    assert out == (
+        '{"degree": 15, "multiplier": "(5 + 0*sqrt(-1))", "source": "(25,0,9)", '
+        '"target": "(1,0,1)", "source_disc": -900, "target_disc": -4}\n'
+    )
+
+
+def test_isogeny_rejects_zero_denominator(capsys):
+    code, out, err = run_cli(capsys, "isogeny", "--matrix", "1/0,0,0,1", "--tau", "1,0,1")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "zero denominator" in err
+
+
+def test_isogeny_rejects_singular_matrix(capsys):
+    code, _, err = run_cli(capsys, "isogeny", "--matrix", "1,1,1,1", "--tau", "1,0,1")
+    assert code == 2
+    assert err.startswith("error: ")
+
+
 def test_isogeny_rejects_even_denominator(capsys):
     code, _, err = run_cli(capsys, "isogeny", "--matrix", "1/2,0,0,1", "--tau", "1,0,1")
     assert code == 2
@@ -126,6 +153,16 @@ def test_jvalue_commands(capsys):
     assert code == 0 and "j_re=1728" in out
     code, _, err = run_cli(capsys, "jvalue")
     assert code == 2
+
+
+def test_jvalue_reduces_before_floats(capsys):
+    # the same point; the float image of the large triple loses digits unless
+    # the triple is reduced exactly first
+    code, big, _ = run_cli(capsys, "jvalue", "--tau", "57283960024952,-37747546504261,6218482741376")
+    assert code == 0
+    code, reduced, _ = run_cli(capsys, "jvalue", "--tau", "47,-47,542")
+    assert code == 0
+    assert big == reduced == "j_re=-1463820071.48 j_im=1.7926634762e-07\n"
 
 
 def test_density_odd_summary_and_file(tmp_path, capsys):

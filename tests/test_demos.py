@@ -1,6 +1,7 @@
 """The demos run end to end. The density demo (06) takes seconds and is left
 out."""
 
+import hashlib
 import subprocess
 import sys
 from pathlib import Path
@@ -24,3 +25,17 @@ def test_demo_runs(demo):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip()
+
+
+def test_isogeny_demo_output_pinned():
+    # taken from the Fraction-based Moebius action, before it moved to integers
+    proc = subprocess.run(
+        [sys.executable, str(DEMO_DIR / "03_odd_isogenies.py")],
+        capture_output=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert (
+        hashlib.sha256(proc.stdout).hexdigest()
+        == "730352a448cac82ab8067fb86329ff6355c8e596d1556a42abec12199f36add2"
+    )

@@ -1,3 +1,4 @@
+import fractions
 import hashlib
 import json
 import random
@@ -225,13 +226,17 @@ def test_nonfinite_json_is_strict():
     assert b"Infinity" not in data
 
 
-# Output bytes must survive every speed-up: these hashes come from the
-# per-pair Fraction implementation (the JSON one without its former
-# "threads" field).
+# Output bytes must survive every speed-up. The first three hashes come from
+# the implementation that built every real-family member and every complex
+# draw from Fraction entries (the JSON one without its former "threads"
+# field); the two last ones from the Fraction-based Moebius action, before
+# complex mode moved to integers.
 PINNED_SHA256 = {
     "odd-99-csv": "de879b45f22e6cf88988dfd2a82db7ed8f8034d3450fbb6d86e8df059fcd05d9",
     "even-1,0,1-30-csv": "9d7a75d13912e94380a5ffe6880fc67ecc5baafdc80fd4a3731d04eb903f1929",
     "complex-42-1000-json": "8e1d563a627aa4c6e5e2eca04db8fb20112cb963f69dd20fb338fb73821513ab",
+    "complex-1,0,1-7-2000-csv": "86a1adf6d5b23e0aa42acee743439802fa8cb1ba9391b2f98f1df078b5ba6e18",
+    "complex-5,-3,7-1378860992-1000-json": "4876ef7e4bf176c582d209a16adad5960468ca11ffb720bf98bd2c81543bda85",
 }
 
 
@@ -241,6 +246,16 @@ def test_reports_match_pinned_bytes():
         "even-1,0,1-30-csv": emit(sample_even(even_cfg(TauExact(1, 0, 1), 30)), "csv"),
         "complex-42-1000-json": emit(
             sample_complex(DensityConfig(mode=Mode.COMPLEX, base=BASE_ODD, draws=1000, seed=42)),
+            "json",
+        ),
+        "complex-1,0,1-7-2000-csv": emit(
+            sample_complex(DensityConfig(mode=Mode.COMPLEX, base=TauExact(1, 0, 1), draws=2000, seed=7)),
+            "csv",
+        ),
+        "complex-5,-3,7-1378860992-1000-json": emit(
+            sample_complex(
+                DensityConfig(mode=Mode.COMPLEX, base=TauExact(5, -3, 7), draws=1000, seed=1378860992)
+            ),
             "json",
         ),
     }
@@ -288,6 +303,28 @@ def test_complex_moves_each_draw_once(monkeypatch):
     calls = counting(monkeypatch, isogenies.moebius, cmparity_modules)
     sample_complex(DensityConfig(mode=Mode.COMPLEX, base=BASE_ODD, draws=50, seed=3))
     assert len(calls) == 50
+
+
+def fraction_calls(run) -> list[str]:
+    """Names of the functions of the fractions module that run() calls."""
+    calls = []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code.co_filename == fractions.__file__:
+            calls.append(frame.f_code.co_name)
+
+    sys.setprofile(profile)
+    try:
+        run()
+    finally:
+        sys.setprofile(None)
+    return calls
+
+
+def test_complex_builds_no_fraction():
+    assert "__new__" in fraction_calls(lambda: Fraction(1, 3) + 1)  # the probe sees them
+    cfg = DensityConfig(mode=Mode.COMPLEX, base=BASE_ODD, draws=200, seed=11)
+    assert fraction_calls(lambda: sample_complex(cfg)) == []
 
 
 def test_config_validation():

@@ -5,6 +5,7 @@ import pytest
 
 from cmparity import (
     InternalCheckError,
+    Isogeny,
     Lattice,
     NotASublatticeError,
     NotInGroupError,
@@ -12,16 +13,20 @@ from cmparity import (
     RatMatrix2,
     TauExact,
     in_odd_group,
+    isogenies,
     lattice_index,
     lattice_of_tau,
     moebius,
     odd_isogeny,
+    parity_of_tau,
     parity_transport_check,
     squarefree,
+    tau_from_element,
 )
 from cmparity.factorint import squarefree_decompose
+from cmparity.isogenies import require_odd_group
 
-from conftest import random_odd_matrix, random_tau
+from conftest import random_odd_matrix, random_tau, random_unimodular
 
 SEED = 77041
 
@@ -90,9 +95,9 @@ def test_odd_isogeny_consistency_random():
         t = random_tau(rng, bound=40)
         iso = odd_isogeny(m, t)
         assert iso.degree % 2 == 1
-        assert lattice_index(iso.u, iso.source, iso.target) == iso.degree
+        assert lattice_index(iso.u, lattice_of_tau(iso.source_tau), lattice_of_tau(t)) == iso.degree
         assert iso.source_tau == moebius(m, t)
-        assert iso.source == lattice_of_tau(iso.source_tau)
+        assert iso.target_tau == t
 
 
 def test_odd_isogeny_rejects_outsiders():
@@ -137,13 +142,84 @@ def test_lattice_index_errors():
 
 
 def test_isogeny_degree_validated_at_construction():
-    d = squarefree(-1)
-    one = QuadElement(Fraction(1), Fraction(0), d)
-    std = Lattice(QuadElement(Fraction(0), Fraction(1), d), one)
-    from cmparity import Isogeny
-
+    base, moved = TauExact(1, 0, 1), TauExact(25, 0, 9)  # diag(3, 5) takes i to 3i/5
+    iso = Isogeny((3, 0, 0, 5), moved, base, 15)
+    assert iso.u == QuadElement(Fraction(5), Fraction(0), squarefree(-1))
     with pytest.raises(InternalCheckError):
-        Isogeny(QuadElement(Fraction(2), Fraction(0), d), std, std, 3, TauExact(1, 0, 1))
+        Isogeny((3, 0, 0, 5), moved, base, 3)  # wrong degree
+    with pytest.raises(InternalCheckError):
+        Isogeny((2, 0, 0, 2), base, base, 3)  # multiplication by 2 has degree 4
+    with pytest.raises(InternalCheckError):
+        Isogeny((3, 0, 0, 5), TauExact(9, 0, 25), base, 15)  # 5i/3, not the image
+    with pytest.raises(InternalCheckError):
+        Isogeny((-3, 0, 0, 5), moved, base, 15)  # determinant -15: the form fits, the degree does not
+
+
+def field_moebius(m: RatMatrix2, t: TauExact) -> TauExact:
+    """(a*tau + b)/(c*tau + d) computed in Q(sqrt(d)), then made a triple."""
+    tau = t.as_element()
+    a, b, c, d = (QuadElement(e, Fraction(0), tau.d) for e in m.entries())
+    return tau_from_element((a * tau + b) / (c * tau + d))
+
+
+def test_moebius_matches_field_route():
+    rng = random.Random(SEED + 5)
+    for _ in range(300):
+        m = random_odd_matrix(rng)
+        t = random_tau(rng, bound=100)
+        assert moebius(m, t) == field_moebius(m, t), (m, t)
+    for _ in range(300):
+        m = random_unimodular(rng, steps=rng.randint(1, 12))
+        t = random_tau(rng, bound=100)
+        moved = moebius(m, t)
+        assert moved == field_moebius(m, t), (m, t)
+        assert moved.disc == t.disc
+
+
+def odd_group_reference(m: RatMatrix2) -> bool:
+    entries = m.entries()
+    det = entries[0] * entries[3] - entries[1] * entries[2]
+    return all(e.denominator % 2 for e in entries) and det > 0 and det.numerator % 2 == 1
+
+
+def test_in_odd_group_matches_fraction_reference():
+    rng = random.Random(SEED + 6)
+    seen = set()
+    for _ in range(3000):
+        m = RatMatrix2(*(Fraction(rng.randint(-4, 4), rng.randint(1, 6)) for _ in range(4)))
+        expected = odd_group_reference(m)
+        assert in_odd_group(m) is expected, m
+        if not expected:
+            with pytest.raises(NotInGroupError):
+                require_odd_group(m)
+        det = m.det
+        if any(e.denominator % 2 == 0 for e in m.entries()):
+            seen.add("even denominator")
+        elif det == 0:
+            seen.add("zero determinant")
+        elif det < 0:
+            seen.add("negative determinant")
+        elif det.numerator % 2 == 0:
+            seen.add("even determinant")
+        else:
+            seen.add("member")
+    assert len(seen) == 5
+
+
+def test_odd_isogeny_rejects_tampered_moebius(monkeypatch):
+    rng = random.Random(SEED + 7)
+    true_moebius = isogenies.moebius
+
+    def wrong(m, t):
+        moved = true_moebius(m, t)
+        return TauExact(moved.a, moved.b, moved.c + moved.a)  # disc - 4a^2: same parity
+
+    monkeypatch.setattr(isogenies, "moebius", wrong)
+    for _ in range(50):
+        m, t = random_odd_matrix(rng), random_tau(rng)
+        assert parity_of_tau(wrong(m, t)) is parity_of_tau(t)
+        with pytest.raises(InternalCheckError):
+            odd_isogeny(m, t)
 
 
 def test_parity_transport_examples():
