@@ -14,9 +14,11 @@ and the exact triple are integer expressions, with no rationals. A member
 depends on the ratio m/n only, so its triple, its parity check and its j are
 evaluated once per reduced ratio, and the other pairs with that ratio reuse
 the j. Complex mode draws each matrix as integer (numerator, denominator)
-pairs and moves the base point once, inside odd_isogeny, by the integer
-action of the matrix's primitive integer multiple: no rational is built on
-that path either.
+pairs, read off the seeded generator's raw bits, and decides odd-group
+membership on those integers; about one draw in 5.4 is kept, and only a kept
+draw becomes a RatMatrix2. It moves the base point once, inside odd_isogeny,
+by the integer action of the matrix's primitive integer multiple: no
+rational is built on that path either.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from .cmpoints import TauExact, parity_of_tau
 from .enumeration import CMClassPoint
 from .errors import BadBaseError, InternalCheckError
 from .factorint import squarefree_decompose
-from .isogenies import RatMatrix2, in_odd_group, odd_isogeny
+from .isogenies import RatMatrix2, in_odd_group, in_odd_pairs, odd_isogeny
 from .modular import J_SPLIT, is_real_j, j_numeric
 from .quadorders import Parity
 
@@ -251,17 +253,42 @@ def sample_even(cfg: DensityConfig) -> CoverageReport:
     return _build_report(cfg.mode, samples, cfg.bin_width, False, n_max, None)
 
 
-def _draw_matrix(rng: random.Random, numerator_bound: int = 40, denom_bound: int = 15) -> RatMatrix2:
-    """A seeded odd-group matrix: entries p/q with |p| <= numerator_bound and
-    odd q <= denom_bound, drawn as integer pairs until in_odd_group holds."""
+# Complex mode draws each entry as p/q with p uniform in [-DRAW_NUMERATOR_BOUND,
+# DRAW_NUMERATOR_BOUND] and q uniform over the odd numbers up to DRAW_DENOM_BOUND.
+DRAW_NUMERATOR_BOUND = 40
+DRAW_DENOM_BOUND = 15
+
+
+def _draw_matrix(rng: random.Random) -> RatMatrix2:
+    """A seeded odd-group matrix: four entries p/q as above, redrawn together
+    until the matrix lies in the odd group.
+
+    Each number comes from rng.getrandbits through the rejection loop that
+    random.Random.randrange runs, so p and q are exactly the values of
+    rng.randint(-DRAW_NUMERATOR_BOUND, DRAW_NUMERATOR_BOUND) and
+    rng.randrange(1, DRAW_DENOM_BOUND + 1, 2), in the same order. The odd-group
+    rule (in_odd_pairs) decides on the raw pairs, and a RatMatrix2 is built
+    only for the draw that is kept, about one in 5.4.
+    """
+    getrandbits = rng.getrandbits
+    p_count = 2 * DRAW_NUMERATOR_BOUND + 1
+    q_count = (DRAW_DENOM_BOUND + 1) // 2
+    p_bits, q_bits = p_count.bit_length(), q_count.bit_length()
     while True:
-        pairs = [
-            (rng.randint(-numerator_bound, numerator_bound), rng.randrange(1, denom_bound + 1, 2))
-            for _ in range(4)
-        ]
-        m = RatMatrix2(*pairs)
-        if in_odd_group(m):
-            return m
+        pairs = []
+        for _ in range(4):
+            p = getrandbits(p_bits)
+            while p >= p_count:
+                p = getrandbits(p_bits)
+            q = getrandbits(q_bits)
+            while q >= q_count:
+                q = getrandbits(q_bits)
+            pairs.append((p - DRAW_NUMERATOR_BOUND, 2 * q + 1))
+        if in_odd_pairs(*pairs):
+            matrix = RatMatrix2(*pairs)
+            if not in_odd_group(matrix):
+                raise InternalCheckError(f"kept draw {matrix} is not in the odd group")
+            return matrix
 
 
 def sample_complex(cfg: DensityConfig) -> CoverageReport:

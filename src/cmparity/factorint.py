@@ -1,14 +1,20 @@
-"""Integer factorization utilities: trial division plus a deterministic
-Miller-Rabin check for large cofactors.
+"""Integer factorization utilities: trial division, Brent's rho and a
+deterministic Miller-Rabin test.
 
-Inputs are desk-scale; anything with |n| > 10**18 is rejected up front rather
-than allowed to grind.
+Every n with 0 < |n| <= 10**18 is factored completely; anything larger is
+rejected up front rather than allowed to grind. Trial division runs to
+10**6; a cofactor left over is prime, the square of a prime, or the product
+of two primes above 10**6, which a square root or Brent's rho splits.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import count
+
+from .errors import InternalCheckError
 
 MAX_INPUT = 10**18
 _TRIAL_LIMIT = 1_000_000
@@ -65,6 +71,55 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def _brent_factor(n: int) -> int:
+    """A proper factor of an odd composite n, by Brent's variant of Pollard's
+    rho (R. P. Brent, BIT 20, 1980): iterate y -> y^2 + c mod n, take the gcd
+    with n of a batch of |x - y| products at a time, and when the batch ends
+    at n replay it one step at a time. A round that finds only n itself
+    starts again with the next c."""
+    batch = 128
+    for c in count(1):
+        y, r, product, g = 2, 1, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                saved = y
+                for _ in range(min(batch, r - k)):
+                    y = (y * y + c) % n
+                    product = product * abs(x - y) % n
+                g = math.gcd(product, n)
+                k += batch
+            r *= 2
+        if g == n:
+            g = 1
+            while g == 1:
+                saved = (saved * saved + c) % n
+                g = math.gcd(abs(x - saved), n)
+        if g != n:
+            return g
+
+
+def _split_cofactor(m: int) -> list[tuple[int, int]]:
+    """The prime factorization of m > 1, the cofactor left by trial division
+    to _TRIAL_LIMIT: every prime factor of m exceeds that limit and m <=
+    MAX_INPUT = _TRIAL_LIMIT**3, so m is p, p**2 or p*q."""
+    if is_prime(m):
+        return [(m, 1)]
+    root = math.isqrt(m)
+    if root * root == m:
+        parts = [(root, 2)]
+    else:
+        p = _brent_factor(m)
+        p, q = sorted((p, m // p))
+        parts = [(p, 1), (q, 1)]
+    if not all(is_prime(p) for p, _ in parts):
+        raise InternalCheckError(f"cofactor {m} did not split into primes: {parts}")
+    return parts
+
+
 def factorize(n: int) -> FactoredInt:
     """Factor a nonzero integer with |n| <= 10**18."""
     if n == 0:
@@ -90,10 +145,7 @@ def factorize(n: int) -> FactoredInt:
         m = strip(p, m)
         p += 2
     if m > 1:
-        if not is_prime(m):
-            # composite cofactor with no prime factor below the trial bound
-            raise ValueError(f"cannot factor cofactor {m} by trial division")
-        factors.append((m, 1))
+        factors += _split_cofactor(m)
     return FactoredInt(sign, tuple(factors))
 
 

@@ -80,20 +80,33 @@ class RatMatrix2:
         return tuple(v // g for v in scaled)
 
 
-def _odd_scaled_det(m: RatMatrix2) -> int | None:
-    """det(m) times the product of the denominators, or None when one of them
-    is even. That product is then odd and positive, so the result has the sign
-    of det(m) and the parity of its reduced numerator."""
-    (p0, q0), (p1, q1), (p2, q2), (p3, q3) = m.a, m.b, m.c, m.d
+def _odd_scaled_det(a, b, c, d) -> int | None:
+    """For the entries ((a, b), (c, d)) as (numerator, positive denominator)
+    pairs: det times the product of the denominators, or None when one of
+    them is even. That product is then odd and positive, so the result has
+    the sign of det and the parity of its reduced numerator.
+
+    The pairs need not be reduced when every denominator is odd: reducing
+    divides each pair by an odd gcd, which changes neither the sign nor the
+    parity of the result, so raw pairs and their reduced forms get the same
+    verdict from in_odd_pairs."""
+    (p0, q0), (p1, q1), (p2, q2), (p3, q3) = a, b, c, d
     if not q0 & q1 & q2 & q3 & 1:
         return None
     return p0 * p3 * q1 * q2 - p1 * p2 * q0 * q3
 
 
+def in_odd_pairs(a, b, c, d) -> bool:
+    """The odd-group rule on four (numerator, positive denominator) pairs:
+    odd denominators, positive determinant with odd reduced numerator."""
+    n = _odd_scaled_det(a, b, c, d)
+    return n is not None and n > 0 and n % 2 == 1
+
+
 def require_odd_group(m: RatMatrix2):
     """Check membership in the group of odd-denominator matrices with positive
     determinant that is an odd unit; raise NotInGroupError otherwise."""
-    n = _odd_scaled_det(m)
+    n = _odd_scaled_det(m.a, m.b, m.c, m.d)
     if n is None:
         entry = next(e for e in m.entries() if e.denominator % 2 == 0)
         raise NotInGroupError(f"entry {entry} has an even denominator")
@@ -104,8 +117,7 @@ def require_odd_group(m: RatMatrix2):
 
 
 def in_odd_group(m: RatMatrix2) -> bool:
-    n = _odd_scaled_det(m)
-    return n is not None and n > 0 and n % 2 == 1
+    return in_odd_pairs(m.a, m.b, m.c, m.d)
 
 
 @dataclass(frozen=True)

@@ -95,6 +95,15 @@ def test_enumerate_examples(capsys):
     assert [e["beta"] for e in payload["entries"]] == [1, 3]
 
 
+def test_enumerate_two_large_primes(capsys):
+    # -1000003 * 1000033: both primes lie past the trial-division limit
+    code, out, err = run_cli(capsys, "enumerate", "--disc", "-1000036000099", "--json")
+    assert code == 0, err
+    payload = json.loads(out)
+    assert payload["count"] == 2
+    assert [e["beta"] for e in payload["entries"]] == [1, 1000003]
+
+
 def test_enumerate_rejects_even_disc(capsys):
     code, _, err = run_cli(capsys, "enumerate", "--disc", "-4")
     assert code == 2

@@ -9,6 +9,7 @@ import pytest
 
 from cmparity import (
     BadBaseError,
+    InternalCheckError,
     Parity,
     RatMatrix2,
     TauExact,
@@ -30,6 +31,8 @@ from cmparity.density import (
     sample_even,
     sample_odd,
 )
+
+from conftest import random_odd_matrix
 
 BASE_ODD = TauExact(1, -1, 1)
 
@@ -168,6 +171,38 @@ def test_complex_single_draw_matches_manual_replay():
     expected = j_numeric(complex(moebius(matrix, BASE_ODD)))
     got = report.samples[0].j
     assert abs(got - expected) <= 1e-12 * (1 + abs(expected))
+
+
+def test_draw_matrix_matches_reference_sampler():
+    # _draw_matrix reads the randint/randrange values off getrandbits; the
+    # reference sampler calls randint/randrange and builds every draw
+    draws = 0
+    for seed in (0, 1, 42, 1234, 1378860992):
+        fast, reference = random.Random(seed), random.Random(seed)
+        for _ in range(1000):
+            assert _draw_matrix(fast).entries() == random_odd_matrix(reference).entries(), seed
+            draws += 1
+        assert fast.getstate() == reference.getstate(), seed
+    assert draws >= 5000
+
+
+def test_complex_builds_a_matrix_per_kept_draw_only(monkeypatch):
+    built = []
+    post_init = RatMatrix2.__post_init__
+
+    def counted(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(RatMatrix2, "__post_init__", counted)
+    sample_complex(DensityConfig(mode=Mode.COMPLEX, base=BASE_ODD, draws=300, seed=8))
+    assert len(built) == 300
+
+
+def test_draw_matrix_checks_kept_draw(monkeypatch):
+    monkeypatch.setattr(density, "in_odd_group", lambda m: False)
+    with pytest.raises(InternalCheckError):
+        _draw_matrix(random.Random(5))
 
 
 def test_complex_deterministic_and_parity_checked():

@@ -14,6 +14,23 @@ def test_factorize_reconstructs():
         assert factorize(n).value() == n
 
 
+def test_factorize_cofactors_past_trial_limit():
+    # every prime here exceeds the 10**6 trial-division limit
+    cases = {
+        1000003 * 1000033: ((1000003, 1), (1000033, 1)),
+        1000003**2: ((1000003, 2),),
+        999999937 * 1000000007: ((999999937, 1), (1000000007, 1)),
+        999999937 * 999999929: ((999999929, 1), (999999937, 1)),
+        -1000036000099: ((1000003, 1), (1000033, 1)),
+        2 * 3**2 * 1000003 * 1000033: ((2, 1), (3, 2), (1000003, 1), (1000033, 1)),
+        999999999999999989: ((999999999999999989, 1),),
+    }
+    for n, factors in cases.items():
+        fi = factorize(n)
+        assert fi.factors == factors, n
+        assert fi.value() == n
+
+
 def test_factorize_rejects_zero_and_huge():
     with pytest.raises(ValueError):
         factorize(0)

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -24,7 +25,7 @@ from cmparity import (
     tau_from_element,
 )
 from cmparity.factorint import squarefree_decompose
-from cmparity.isogenies import require_odd_group
+from cmparity.isogenies import in_odd_pairs, require_odd_group
 
 from conftest import random_odd_matrix, random_tau, random_unimodular
 
@@ -204,6 +205,22 @@ def test_in_odd_group_matches_fraction_reference():
         else:
             seen.add("member")
     assert len(seen) == 5
+
+
+def test_odd_group_rule_on_raw_odd_denominator_pairs():
+    # the sampler decides on pairs as drawn, such as 6/9, before any reduction
+    rng = random.Random(SEED + 8)
+    verdicts = set()
+    unreduced = 0
+    for _ in range(3000):
+        pairs = [(rng.randint(-40, 40), rng.randrange(1, 16, 2)) for _ in range(4)]
+        m = RatMatrix2(*pairs)
+        expected = in_odd_group(m)
+        assert in_odd_pairs(*pairs) is expected is odd_group_reference(m), pairs
+        verdicts.add(expected)
+        unreduced += any(math.gcd(p, q) > 1 for p, q in pairs)
+    assert verdicts == {True, False}
+    assert unreduced > 1000
 
 
 def test_odd_isogeny_rejects_tampered_moebius(monkeypatch):
