@@ -24,9 +24,9 @@ from .density import (
     sample_odd,
 )
 from .enumeration import enumerate_real_odd_cm, min_j_gap
-from .errors import InternalCheckError
+from .errors import InternalCheckError, NotRealJError
 from .isogenies import RatMatrix2, odd_isogeny
-from .modular import is_real_j, j_numeric, reduce_fundamental, t_representative
+from .modular import j_numeric, reduce_fundamental, t_representative
 from .quadorders import (
     canonical_generator,
     order_discriminant,
@@ -55,7 +55,12 @@ def _cmd_classify(args) -> int:
     tau = _parse_triple(args.tau)
     order = order_of_tau(tau)
     par = parity_of_tau(tau)
-    real = is_real_j(tau)
+    # one reduction and one j give both the verdict and the locus point
+    try:
+        rep = t_representative(tau)
+    except NotRealJError:
+        rep = None
+    real = rep is not None
     record = {
         "a": tau.a,
         "b": tau.b,
@@ -67,7 +72,6 @@ def _cmd_classify(args) -> int:
         "real_j": real,
     }
     if real:
-        rep = t_representative(tau)
         record["branch"] = rep.branch
         record["t"] = float(fmt_float(rep.t))
     if args.json:

@@ -5,6 +5,12 @@ Every n with 0 < |n| <= 10**18 is factored completely; anything larger is
 rejected up front rather than allowed to grind. Trial division runs to
 10**6; a cofactor left over is prime, the square of a prime, or the product
 of two primes above 10**6, which a square root or Brent's rho splits.
+
+Each value is factored once per process: `factorize` keeps its results in
+one cache bounded at 128 entries. That cache serves every caller, so the
+saturated divisors of `enumerate`, the orders that `order_of_tau` rebuilds
+and the validation in `SquarefreeInt` all read the same `FactoredInt`, and
+`squarefree_decompose` derives its answer from it.
 """
 
 from __future__ import annotations
@@ -120,6 +126,10 @@ def _split_cofactor(m: int) -> list[tuple[int, int]]:
     return parts
 
 
+# One query asks for the same value several times (enumerate wants D's
+# saturated divisors, then its order once per beta); bounded, so a
+# long-lived process making many lookups does not grow with them.
+@lru_cache(maxsize=128)
 def factorize(n: int) -> FactoredInt:
     """Factor a nonzero integer with |n| <= 10**18."""
     if n == 0:
@@ -149,10 +159,6 @@ def factorize(n: int) -> FactoredInt:
     return FactoredInt(sign, tuple(factors))
 
 
-# Holds the repeats within one call (enumerate asks for the order of D once
-# per beta, and SquarefreeInt checks d again); bounded, so a long-lived
-# process making many lookups does not grow with them.
-@lru_cache(maxsize=128)
 def squarefree_decompose(n: int) -> tuple[int, int]:
     """Write n = s**2 * d with d squarefree and sign(d) = sign(n); returns (s, d)."""
     fi = factorize(n)

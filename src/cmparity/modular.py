@@ -189,13 +189,15 @@ def reduce_fundamental(t: TauExact) -> tuple[TauExact, tuple[tuple[int, int], tu
     return reduced, ((p, q), (r, s))
 
 
-def is_real_j(t: TauExact) -> bool:
-    """Whether j(tau) is real: the reduced triple is ambiguous (b = 0, |b| = a,
-    or a = c). The form criterion is double-checked numerically rather than
-    trusted alone: j at the reduced point counts as real when |Im j| is within
-    the float error of that point. Above the overflow height the cusp
-    expansion gives Im j as exactly zero or infinite, and infinite is not
-    real."""
+def _reduced_j(t: TauExact) -> tuple[TauExact, bool, complex]:
+    """The reduced triple, whether j is real, and j at the reduced point.
+
+    The form criterion (the reduced triple is ambiguous: b = 0, |b| = a, or
+    a = c) is double-checked numerically rather than trusted alone: j counts
+    as real when |Im j| is within the float error of the reduced point. Above
+    the overflow height the cusp expansion gives Im j as exactly zero or
+    infinite, and infinite is not real.
+    """
     reduced, _ = reduce_fundamental(t)
     by_form = (
         reduced.b == 0 or abs(reduced.b) == reduced.a or reduced.a == reduced.c
@@ -210,7 +212,13 @@ def is_real_j(t: TauExact) -> bool:
             f"form criterion ({by_form}) and numeric criterion ({by_value}) "
             f"disagree for {t}: j = {j}"
         )
-    return by_form
+    return reduced, by_form, j
+
+
+def is_real_j(t: TauExact) -> bool:
+    """Whether j(tau) is real: the reduced triple is ambiguous, confirmed by
+    the value of j at the reduced point."""
+    return _reduced_j(t)[1]
 
 
 def axis_curve(t: float) -> float:
@@ -246,10 +254,13 @@ def t_representative(t: TauExact) -> TPoint:
     correctly rounded however large the triple. The branch function at the
     result is checked against j at the reduced point: the float image of a
     large unreduced triple can lose digits in the numeric reduction.
+
+    Reduces once and evaluates j at the reduced point once, for both the
+    real-j test and that check.
     """
-    if not is_real_j(t):
+    reduced, real, j = _reduced_j(t)
+    if not real:
         raise NotRealJError(f"{t} does not have a real j-invariant")
-    reduced, _ = reduce_fundamental(t)
     a, b, c = reduced.a, reduced.b, reduced.c
     if b == 0:
         result = TPoint("T1", math.sqrt(c / a))
@@ -259,7 +270,7 @@ def t_representative(t: TauExact) -> TPoint:
         # t rounds to 1/2 when a = c is about 2**51 or more and |b| is small
         arc = 0.5 * math.sqrt((2 * a + abs(b)) / (2 * a - abs(b)))
         result = TPoint("T2", max(arc, math.nextafter(0.5, 1.0)))
-    target = j_numeric(complex(reduced)).real
+    target = j.real
     on_branch = axis_curve(result.t) if result.branch == "T1" else f_curve(result.t)
     # equal infinities agree; NaN, or an infinity against anything else, fails
     if on_branch != target and not (

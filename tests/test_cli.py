@@ -50,6 +50,25 @@ def test_repeated_calls_keep_their_own_format(capsys):
     assert code == 0 and out.startswith("disc=-3 ")
 
 
+def test_classify_evaluates_j_once_at_the_reduced_point(monkeypatch, capsys):
+    # one j for the real-j verdict, reused by the locus point; a real point
+    # adds one for its branch-residual check
+    from cmparity import modular
+
+    j_numeric = modular.j_numeric
+    calls = []
+
+    def counted(z):
+        calls.append(z)
+        return j_numeric(z)
+
+    monkeypatch.setattr(modular, "j_numeric", counted)
+    for triple, expected in (("35,-105,98", 2), ("3,5,7", 1)):
+        calls.clear()
+        code, _, _ = run_cli(capsys, "classify", "--tau", triple)
+        assert code == 0 and len(calls) == expected, triple
+
+
 def test_classify_huge_non_real_point(capsys):
     code, out, _ = run_cli(capsys, "classify", "--tau", "10000019,1,20000000001", "--json")
     assert code == 0

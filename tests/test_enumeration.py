@@ -116,18 +116,15 @@ def test_enumerate_minus_1155():
     assert [p.beta for p in points] == [1, 3, 5, 7, 11, 15, 21, 33]
 
 
-def test_enumerate_factors_d_once(monkeypatch):
-    from cmparity import enumeration
-
-    calls = []
-
-    def counted(n):
-        calls.append(n)
-        return factorize(n)
-
-    monkeypatch.setattr(enumeration, "factorize", counted)
-    assert len(enumerate_real_odd_cm(-1155)) == 8
-    assert calls == [-1155]
+def test_enumerate_factors_d_once():
+    # counts real work, wherever it happens: saturated_divisors, every
+    # order_of_tau and SquarefreeInt all go through factorize's one cache
+    for D in (-1155, -1000036000099):
+        factorize.cache_clear()
+        points = enumerate_real_odd_cm(D)
+        assert factorize.cache_info().misses == 1, D
+        order_of_tau(points[-1].tau)
+        assert factorize.cache_info().misses == 1, D
 
 
 def test_enumerate_validation():

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from cmparity.factorint import (
@@ -65,11 +67,41 @@ def test_squarefree_decompose():
         assert is_squarefree(d) or d == 1
 
 
-def test_squarefree_decompose_cache_is_bounded():
+def test_factorize_cache_is_bounded():
     # a long-lived process asks for many distinct values; the cache must not
     # keep them all
-    limit = squarefree_decompose.cache_info().maxsize
+    limit = factorize.cache_info().maxsize
     assert limit is not None
     for n in range(2, 2 + 2 * limit):
-        squarefree_decompose(n)
-    assert squarefree_decompose.cache_info().currsize <= limit
+        factorize(n)
+    assert factorize.cache_info().currsize <= limit
+
+
+def _oracle_inputs(rng, sympy):
+    """Seeded inputs that reach every branch of factorize: cofactors p*q and
+    p**2 past the trial limit, a prime above 10**12 after small ones, negative
+    values and values at the 10**18 bound, plus small values. Each value past
+    the trial limit costs a full trial division, so there are four."""
+
+    def big_prime(lo, hi):
+        return sympy.nextprime(rng.randrange(lo, hi))
+
+    p, q, r = (big_prime(10**6, 10**8) for _ in range(3))
+    small = 1
+    while (s := rng.choice((2, 3, 5, 7, 11, 13, 97, 997))) * small <= 10**6:
+        small *= s
+    # the largest prime that keeps small * large within 10**18
+    large = sympy.prevprime(10**18 // small + 1)
+    near = 10**18 - rng.randrange(1, 1000)
+    values = [p * q, -(r**2), small * large, -near, 10**18, -(10**18)]
+    values += [rng.choice((1, -1)) * rng.randrange(2, 10**6) for _ in range(200)]
+    return values
+
+
+def test_factorize_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(60611)
+    for n in _oracle_inputs(rng, sympy):
+        fi = factorize(n)
+        assert fi.sign == (-1 if n < 0 else 1), n
+        assert fi.factors == tuple(sorted(sympy.factorint(abs(n)).items())), n
