@@ -58,6 +58,7 @@ from .modular import (
     f_curve,
     is_real_j,
     j_numeric,
+    j_of_tau,
     reduce_fundamental,
     t_representative,
 )

@@ -26,7 +26,7 @@ from .density import (
 from .enumeration import enumerate_real_odd_cm, min_j_gap
 from .errors import InternalCheckError, NotRealJError
 from .isogenies import RatMatrix2, odd_isogeny
-from .modular import j_numeric, reduce_fundamental, t_representative
+from .modular import j_numeric, j_of_tau, t_representative
 from .quadorders import (
     canonical_generator,
     order_discriminant,
@@ -172,13 +172,12 @@ def _cmd_jvalue(args) -> int:
         print("error: give exactly one of --tau or --point", file=sys.stderr)
         return 2
     if args.tau is not None:
-        z = complex(reduce_fundamental(_parse_triple(args.tau))[0])
+        j = j_of_tau(_parse_triple(args.tau))
     else:
         parts = args.point.split(",")
         if len(parts) != 2:
             raise ValueError("expected --point re,im")
-        z = complex(float(parts[0]), float(parts[1]))
-    j = j_numeric(z)
+        j = j_numeric(complex(float(parts[0]), float(parts[1])))
     if args.json:
         print(json.dumps({"re_j": float(fmt_float(j.real)), "im_j": float(fmt_float(j.imag))}))
     else:

@@ -130,7 +130,9 @@ class TauExact:
         """tau as an exact element of Q(sqrt(d)), d the squarefree part of the disc."""
         m, d = squarefree_decompose(self.disc)
         return QuadElement(
-            Fraction(-self.b, 2 * self.a), Fraction(m, 2 * self.a), SquarefreeInt(d)
+            Fraction(-self.b, 2 * self.a),
+            Fraction(m, 2 * self.a),
+            SquarefreeInt(d, part_of=self.disc),
         )
 
     def __complex__(self) -> complex:
@@ -223,7 +225,7 @@ def halfint_element(D: int) -> QuadElement:
     """(1 + sqrt(D))/2 as an exact element, D < 0 and D = 1 (mod 4)."""
     _validate_halfint_disc(D)
     m, d = squarefree_decompose(D)
-    return QuadElement(Fraction(1, 2), Fraction(m, 2), SquarefreeInt(d))
+    return QuadElement(Fraction(1, 2), Fraction(m, 2), SquarefreeInt(d, part_of=D))
 
 
 def order_contains(o: QuadOrder, u: QuadElement) -> bool:

@@ -13,20 +13,25 @@ The real families are built from the integers (m, n) directly: the filter
 and the exact triple are integer expressions, with no rationals. A member
 depends on the ratio m/n only, so its triple, its parity check and its j are
 evaluated once per reduced ratio, and the other pairs with that ratio reuse
-the j. Complex mode draws each matrix as integer (numerator, denominator)
-pairs, read off the seeded generator's raw bits, and decides odd-group
-membership on those integers; about one draw in 5.4 is kept, and only a kept
-draw becomes a RatMatrix2. It moves the base point once, inside odd_isogeny,
+the j. Every mode gets j from modular.j_of_tau, the one place where an exact
+point becomes a float: the triple is reduced on the integers first, and a
+real-family member, whose reduced form is ambiguous, is evaluated at a real q
+on the locus, so its Im j is exactly 0. A component of j is infinite only
+past the double range: when 2*pi*Im z at the reduced point, plus the log of
+the component's phase factor, exceeds log(DBL_MAX) = 709.78.
+
+Complex mode draws each matrix as integer (numerator, denominator) pairs,
+read off the seeded generator's raw bits, and decides odd-group membership
+on those integers; about one draw in 5.4 is kept, and only a kept draw
+becomes a RatMatrix2. It moves the base point once, inside odd_isogeny,
 by the integer action of the matrix's primitive integer multiple: no
 rational is built on that path either.
 """
 
 from __future__ import annotations
 
-import csv
 import enum
 import hashlib
-import io
 import json
 import math
 import random
@@ -37,7 +42,7 @@ from .enumeration import CMClassPoint
 from .errors import BadBaseError, InternalCheckError
 from .factorint import squarefree_decompose
 from .isogenies import RatMatrix2, in_odd_group, in_odd_pairs, odd_isogeny
-from .modular import J_SPLIT, is_real_j, j_numeric
+from .modular import J_SPLIT, is_real_j, j_of_tau
 from .quadorders import Parity
 
 DEFAULT_RECT = (-2000.0, 2000.0, -2000.0, 2000.0)
@@ -137,7 +142,7 @@ def _family_samples(
 
     triple(m, n) is the exact point of the pair. That point depends on the
     ratio m/n only, and pairs holds the reduced form of each of its ratios, so
-    the triple, its parity check and j_numeric run once per reduced ratio;
+    the triple, its parity check and j_of_tau run once per reduced ratio;
     every other pair reuses the j of its reduced ratio.
     sample(pair, j) builds the sample.
     """
@@ -148,7 +153,7 @@ def _family_samples(
         if parity_of_tau(tau) is not parity:
             m, n = ratio
             raise InternalCheckError(f"family member {family}({m},{n}) is not {parity.value}")
-        return j_numeric(complex(tau))
+        return j_of_tau(tau)
 
     j_of = {ratio: evaluate(ratio) for ratio in ratios}
     samples = []
@@ -309,7 +314,7 @@ def sample_complex(cfg: DensityConfig) -> CoverageReport:
         moved = iso.source_tau
         if parity_of_tau(moved) is not base_parity:
             raise InternalCheckError(f"parity transport violated by {matrix}")
-        j = j_numeric(complex(moved))
+        j = j_of_tau(moved)
         # each entry as str prints its Fraction p/q: "p" when q = 1
         entries = (matrix.a, matrix.b, matrix.c, matrix.d)
         text = repr(tuple(str(p) if q == 1 else f"{p}/{q}" for p, q in entries))
@@ -358,23 +363,22 @@ def _json_num(x: float | None):
 
 def emit(report: CoverageReport, fmt: str = "csv") -> bytes:
     """Serialize a report deterministically; CSV rows carry label, j parts,
-    branch, parity, and degree where applicable."""
+    branch, parity, and degree where applicable.
+
+    Each CSV row is one f-string, the bytes csv.writer would write: a label
+    is quoted when it holds a comma (the labels this module makes hold no
+    quote or line break), and floats print at 12 significant digits.
+    """
     if fmt == "csv":
-        out = io.StringIO()
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(["label", "re_j", "im_j", "branch", "parity", "degree"])
+        rows = ["label,re_j,im_j,branch,parity,degree\n"]
         for s in report.samples:
-            writer.writerow(
-                [
-                    s.label,
-                    fmt_float(s.j.real),
-                    fmt_float(s.j.imag),
-                    s.branch or "",
-                    s.parity.value,
-                    "" if s.degree is None else s.degree,
-                ]
+            label = f'"{s.label}"' if "," in s.label else s.label
+            degree = "" if s.degree is None else s.degree
+            rows.append(
+                f"{label},{s.j.real:.12g},{s.j.imag:.12g},{s.branch or ''},"
+                f"{s.parity.value},{degree}\n"
             )
-        return out.getvalue().encode()
+        return "".join(rows).encode()
     if fmt == "json":
         payload = {
             "mode": report.mode.value,

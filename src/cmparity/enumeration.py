@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from .cmpoints import TauExact, order_of_tau, parity_of_tau, tau_from_beta
 from .errors import InternalCheckError
 from .factorint import FactoredInt, factorize
-from .modular import j_numeric
+from .modular import j_of_tau
 from .quadorders import Parity, order_discriminant
 
 __all__ = [
@@ -99,7 +99,7 @@ def enumerate_real_odd_cm(D: int) -> list[CMClassPoint]:
             )
         if parity_of_tau(tau) is not Parity.ODD:
             raise InternalCheckError(f"point for beta={beta} is not odd")
-        j = j_numeric(complex(tau))
+        j = j_of_tau(tau)
         if not j.real < 1728.0:
             raise InternalCheckError(f"j({tau}) = {j} is not below 1728")
         points.append(CMClassPoint(beta, tau, j.real))

@@ -11,6 +11,17 @@ lies on the axis, on the line, or on the unit arc, which z -> z/(z + 1) carries
 onto the line below the fundamental domain (imaginary part between 1/2 and
 sqrt(3)/2). So the locus point with the same j is read off the reduced triple
 in closed form, with one int division and one square root in floats.
+
+`j_of_tau` is the one place where an exact point becomes a float. It
+Gauss-reduces the triple on the integers first. An ambiguous form then goes
+to floats only as the height t of that locus point, and the series is summed
+at the real q = exp(-2*pi*t) on the axis or -exp(-2*pi*t) on the line, so Im
+j is exactly 0; the arc's line points have t > 1/2, where |q| < exp(-pi) and
+the series still converges. Any other form goes to j_numeric as its exactly
+reduced point, with the complex q = exp(2*pi*i*z). One pair of series serves
+both kinds of q. Above the cusp height only 1/q + 744 is kept, and a
+component of j is infinite only past the double range: when 2*pi*Im z plus
+the log of the component's phase factor exceeds log(DBL_MAX) = 709.78.
 """
 
 from __future__ import annotations
@@ -40,8 +51,6 @@ J_SPLIT = 1728.0  # branch junction value j(i)
 
 # beyond this height the tail after 1/q + 744 is below double precision
 _CUSP_HEIGHT = 80.0
-# largest exponent with exp(x) finite in a double
-_EXP_MAX = 709.0
 
 
 def _sigma3_table(limit: int) -> list[int]:
@@ -92,9 +101,10 @@ def _reduce_numeric(z: complex) -> complex:
     raise InternalCheckError("fundamental-domain reduction did not converge")
 
 
+# The series take a real or a complex q; starting from 1.0 keeps a real q real.
 def _eisenstein4(q: complex) -> complex:
-    total = 1.0 + 0.0j
-    qn = 1.0 + 0.0j
+    total = 1.0
+    qn = 1.0
     for n in range(1, SERIES_MAX_TERMS + 1):
         qn *= q
         term = 240.0 * _SIGMA3[n] * qn
@@ -106,8 +116,8 @@ def _eisenstein4(q: complex) -> complex:
 
 def _eta_factor(q: complex) -> complex:
     """prod(1 - q^n); cube of its 8th power times q gives the discriminant form."""
-    prod = 1.0 + 0.0j
-    qn = 1.0 + 0.0j
+    prod = 1.0
+    qn = 1.0
     for _ in range(SERIES_MAX_TERMS):
         qn *= q
         prod *= 1.0 - qn
@@ -116,30 +126,50 @@ def _eta_factor(q: complex) -> complex:
     return prod
 
 
+def _j_series(q: complex) -> complex:
+    """j = E4^3 / Delta from the q-expansions, for a real or a complex q."""
+    return _eisenstein4(q) ** 3 / (q * _eta_factor(q) ** 24)
+
+
+def _past_range(grow: float, factor: float, theta: float) -> float:
+    """factor * exp(grow) when exp(grow) itself overflows a double: finite
+    while the product is, else the infinity of factor's sign.
+
+    A factor within the rounding of the phase theta (sin(fl(pi)) is about
+    1.2e-16) counts as vanishing, so a point on the real-j locus keeps an
+    exactly zero component instead of rounding noise times a huge value; a
+    point just off the locus keeps its component.
+    """
+    if abs(factor) <= abs(theta) * 2.0**-52:
+        return 0.0
+    try:
+        return math.copysign(math.exp(grow + math.log(abs(factor))), factor)
+    except OverflowError:
+        return math.copysign(math.inf, factor)
+
+
 def _j_cusp_asymptotic(z: complex) -> complex:
     """Leading behavior 1/q + 744 for reduced points above _CUSP_HEIGHT, where
-    the remaining tail is far below double precision.
-
-    When even the leading term exceeds the double range the components
-    overflow to signed infinities; a component whose phase factor vanishes
-    (points on the real-j locus) stays exactly zero instead of picking up
-    rounding noise times infinity. Only a factor within the rounding of the
-    phase itself counts as vanishing (sin(fl(pi)) is about 1.2e-16), so a
-    point just off the locus keeps its infinite imaginary part.
-    """
+    the remaining tail is far below double precision."""
     theta = -2.0 * math.pi * z.real
     grow = 2.0 * math.pi * z.imag
     cos_t, sin_t = math.cos(theta), math.sin(theta)
-    if grow <= _EXP_MAX:
+    try:
         mag = math.exp(grow)
-        return complex(mag * cos_t + 744.0, mag * sin_t)
+    except OverflowError:
+        return complex(_past_range(grow, cos_t, theta), _past_range(grow, sin_t, theta))
+    return complex(mag * cos_t + 744.0, mag * sin_t)
 
-    def overflow(component: float) -> float:
-        if abs(component) <= abs(theta) * 2.0**-52:
-            return 0.0
-        return math.copysign(math.inf, component)
 
-    return complex(overflow(cos_t), overflow(sin_t))
+def _j_locus(sign: float, t: float) -> float:
+    """j at the real-locus point of height t from the real q = sign*exp(-2*pi*t):
+    sign is 1 on the axis (real part 0) and -1 on the line (real part 1/2)."""
+    if t > _CUSP_HEIGHT:
+        try:
+            return sign * math.exp(2.0 * math.pi * t) + 744.0
+        except OverflowError:
+            return math.copysign(math.inf, sign)
+    return _j_series(sign * math.exp(-2.0 * math.pi * t))
 
 
 def j_numeric(tau: complex) -> complex:
@@ -157,20 +187,12 @@ def j_numeric(tau: complex) -> complex:
     z = _reduce_numeric(tau)
     if z.imag > _CUSP_HEIGHT:
         return _j_cusp_asymptotic(z)
-    q = cmath.exp(2j * math.pi * z)
-    e4 = _eisenstein4(q)
-    delta = q * _eta_factor(q) ** 24
-    return e4**3 / delta
+    return _j_series(cmath.exp(2j * math.pi * z))
 
 
-def reduce_fundamental(t: TauExact) -> tuple[TauExact, tuple[tuple[int, int], tuple[int, int]]]:
-    """Gauss-reduce the triple to |b| <= a <= c and return the unimodular
-    matrix ((p, q), (r, s)) with reduced = (p*tau + q)/(r*tau + s).
-
-    Translation normalizes b into [-a, a), i.e. real part into (-1/2, 1/2];
-    the swap step inverts when a > c. j is unchanged throughout.
-    """
-    a, b, c = t.a, t.b, t.c
+def _gauss_reduce(a: int, b: int, c: int) -> tuple[int, int, int, tuple[int, int, int, int]]:
+    """The reduced triple of (a, b, c) and the entries (p, q, r, s) of the
+    unimodular matrix that carries the point there, all on the integers."""
     # rows of the accumulated matrix, reduced = ((p, q), (r, s)) applied to tau
     p, q, r, s = 1, 0, 0, 1
     while True:
@@ -183,25 +205,67 @@ def reduce_fundamental(t: TauExact) -> tuple[TauExact, tuple[tuple[int, int], tu
             p, q, r, s = -r, -s, p, q
         else:
             break
-    reduced = TauExact(a, b, c)
-    if not (abs(reduced.b) <= reduced.a <= reduced.c):
+    if not (abs(b) <= a <= c):
         raise InternalCheckError("reduction postcondition failed")
-    return reduced, ((p, q), (r, s))
+    return a, b, c, (p, q, r, s)
+
+
+def reduce_fundamental(t: TauExact) -> tuple[TauExact, tuple[tuple[int, int], tuple[int, int]]]:
+    """Gauss-reduce the triple to |b| <= a <= c and return the unimodular
+    matrix ((p, q), (r, s)) with reduced = (p*tau + q)/(r*tau + s).
+
+    Translation normalizes b into [-a, a), i.e. real part into (-1/2, 1/2];
+    the swap step inverts when a > c. j is unchanged throughout.
+    """
+    a, b, c, (p, q, r, s) = _gauss_reduce(t.a, t.b, t.c)
+    return TauExact(a, b, c), ((p, q), (r, s))
+
+
+def _is_ambiguous(a: int, b: int, c: int) -> bool:
+    """Whether the reduced triple is ambiguous, i.e. j is real."""
+    return b == 0 or b == -a or a == c
+
+
+def _locus_point(a: int, b: int, c: int) -> tuple[str, float]:
+    """Branch and height t of the real-locus point of a reduced ambiguous
+    triple (see t_representative)."""
+    if b == 0:
+        return "T1", math.sqrt(c / a)
+    if b == -a:
+        return "T2", 0.5 * math.sqrt((4 * c - a) / a)
+    # t rounds to 1/2 when a = c is about 2**51 or more and |b| is small
+    arc = 0.5 * math.sqrt((2 * a + abs(b)) / (2 * a - abs(b)))
+    return "T2", max(arc, math.nextafter(0.5, 1.0))
+
+
+def j_of_tau(t: TauExact) -> complex:
+    """j at an exact point: the one place where an exact point becomes a float.
+
+    The triple is reduced on the integers first. An ambiguous reduced form
+    goes to floats as the height t of its real-locus point, and the series is
+    summed at the real q = +-exp(-2*pi*t) (+ on the axis, - on the line), so
+    Im j is exactly 0; any other form goes to j_numeric as its reduced point.
+    """
+    a, b, c, _ = _gauss_reduce(t.a, t.b, t.c)
+    if _is_ambiguous(a, b, c):
+        branch, height = _locus_point(a, b, c)
+        return complex(_j_locus(1.0 if branch == "T1" else -1.0, height), 0.0)
+    return j_numeric(complex(-b / (2 * a), math.sqrt(4 * a * c - b * b) / (2 * a)))
 
 
 def _reduced_j(t: TauExact) -> tuple[TauExact, bool, complex]:
     """The reduced triple, whether j is real, and j at the reduced point.
 
     The form criterion (the reduced triple is ambiguous: b = 0, |b| = a, or
-    a = c) is double-checked numerically rather than trusted alone: j counts
-    as real when |Im j| is within the float error of the reduced point. Above
-    the overflow height the cusp expansion gives Im j as exactly zero or
-    infinite, and infinite is not real.
+    a = c) is double-checked numerically rather than trusted alone: j is
+    evaluated by j_numeric, with the complex q at the reduced point and not
+    by the real-q route of j_of_tau, and counts as real when |Im j| is within
+    the float error of that point. Above the overflow height the cusp
+    expansion gives Im j as exactly zero or infinite, and infinite is not
+    real.
     """
     reduced, _ = reduce_fundamental(t)
-    by_form = (
-        reduced.b == 0 or abs(reduced.b) == reduced.a or reduced.a == reduced.c
-    )
+    by_form = _is_ambiguous(reduced.a, reduced.b, reduced.c)
     j = j_numeric(complex(reduced))
     by_value = j.imag == 0.0 or (
         math.isfinite(j.imag)
@@ -261,15 +325,7 @@ def t_representative(t: TauExact) -> TPoint:
     reduced, real, j = _reduced_j(t)
     if not real:
         raise NotRealJError(f"{t} does not have a real j-invariant")
-    a, b, c = reduced.a, reduced.b, reduced.c
-    if b == 0:
-        result = TPoint("T1", math.sqrt(c / a))
-    elif b == -a:
-        result = TPoint("T2", 0.5 * math.sqrt((4 * c - a) / a))
-    else:
-        # t rounds to 1/2 when a = c is about 2**51 or more and |b| is small
-        arc = 0.5 * math.sqrt((2 * a + abs(b)) / (2 * a - abs(b)))
-        result = TPoint("T2", max(arc, math.nextafter(0.5, 1.0)))
+    result = TPoint(*_locus_point(reduced.a, reduced.b, reduced.c))
     target = j.real
     on_branch = axis_curve(result.t) if result.branch == "T1" else f_curve(result.t)
     # equal infinities agree; NaN, or an infinity against anything else, fails

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 
 from .errors import InternalCheckError
 from .factorint import is_squarefree, squarefree_decompose
@@ -34,15 +34,25 @@ class CanonicalKind(enum.Enum):
 
 @dataclass(frozen=True)
 class SquarefreeInt:
-    """A squarefree integer d not in {0, 1}; defines the field Q(sqrt(d))."""
+    """A squarefree integer d not in {0, 1}; defines the field Q(sqrt(d)).
+
+    part_of, when given, is an integer n whose squarefree part d is claimed
+    to be: the check then reads n's cached factorization instead of factoring
+    d once more, and still rejects every d that is not squarefree (no
+    squarefree part has a repeated prime).
+    """
 
     value: int
+    part_of: InitVar[int | None] = None
 
-    def __post_init__(self):
+    def __post_init__(self, part_of: int | None):
         if self.value in (0, 1):
             raise ValueError("d must not be 0 or 1")
-        if not is_squarefree(self.value):
-            raise ValueError(f"{self.value} has a repeated prime factor")
+        if part_of is None:
+            if not is_squarefree(self.value):
+                raise ValueError(f"{self.value} has a repeated prime factor")
+        elif squarefree_decompose(part_of)[1] != self.value:
+            raise ValueError(f"{self.value} is not the squarefree part of {part_of}")
 
     def __repr__(self):
         return f"SquarefreeInt({self.value})"
@@ -142,7 +152,7 @@ def order_from_discriminant(disc: int) -> QuadOrder:
         if s % 2:
             raise ValueError(f"{disc} is not a quadratic order discriminant")
         f = s // 2
-    return QuadOrder(SquarefreeInt(d0), f)
+    return QuadOrder(SquarefreeInt(d0, part_of=disc), f)
 
 
 def order_from_canonical(cf: CanonicalForm) -> QuadOrder:

@@ -1,5 +1,8 @@
+import csv
 import fractions
 import hashlib
+import io
+import math
 import json
 import random
 import sys
@@ -19,6 +22,7 @@ from cmparity import (
     enumerate_real_odd_cm,
     isogenies,
     j_numeric,
+    j_of_tau,
     moebius,
     parity_of_tau,
     parity_transport_check,
@@ -261,17 +265,29 @@ def test_nonfinite_json_is_strict():
     assert b"Infinity" not in data
 
 
-# Output bytes must survive every speed-up. The first three hashes come from
-# the implementation that built every real-family member and every complex
-# draw from Fraction entries (the JSON one without its former "threads"
-# field); the two last ones from the Fraction-based Moebius action, before
-# complex mode moved to integers.
+# Output bytes must survive every speed-up. Re-pinned once, on purpose, when
+# every exact point began to reach floats through modular.j_of_tau: exact
+# reduction first, and a real q on the locus. Every real-family row now
+# prints im_j = 0 (1,766 of the 1,779 odd N=99 rows and 667 of the 1,140
+# even rows printed rounding noise there), 51 odd and 3 even rows change the
+# last printed digit of re_j, and complex samples are evaluated at the
+# exactly reduced point instead of the float image of the moved triple (14,
+# 24 and 14 printed rows of the three complex reports change, 10 of them to
+# im_j = 0 on the locus). The worst re_j error of the odd family at N=399 is
+# 4.9e-12 relative, the same as before. The hashes before that change (the
+# first three from the Fraction-based families and draws, the last two from
+# the Fraction-based Moebius action):
+#   odd-99-csv                          de879b45f22e6cf88988dfd2a82db7ed8f8034d3450fbb6d86e8df059fcd05d9
+#   even-1,0,1-30-csv                   9d7a75d13912e94380a5ffe6880fc67ecc5baafdc80fd4a3731d04eb903f1929
+#   complex-42-1000-json                8e1d563a627aa4c6e5e2eca04db8fb20112cb963f69dd20fb338fb73821513ab
+#   complex-1,0,1-7-2000-csv            86a1adf6d5b23e0aa42acee743439802fa8cb1ba9391b2f98f1df078b5ba6e18
+#   complex-5,-3,7-1378860992-1000-json 4876ef7e4bf176c582d209a16adad5960468ca11ffb720bf98bd2c81543bda85
 PINNED_SHA256 = {
-    "odd-99-csv": "de879b45f22e6cf88988dfd2a82db7ed8f8034d3450fbb6d86e8df059fcd05d9",
-    "even-1,0,1-30-csv": "9d7a75d13912e94380a5ffe6880fc67ecc5baafdc80fd4a3731d04eb903f1929",
-    "complex-42-1000-json": "8e1d563a627aa4c6e5e2eca04db8fb20112cb963f69dd20fb338fb73821513ab",
-    "complex-1,0,1-7-2000-csv": "86a1adf6d5b23e0aa42acee743439802fa8cb1ba9391b2f98f1df078b5ba6e18",
-    "complex-5,-3,7-1378860992-1000-json": "4876ef7e4bf176c582d209a16adad5960468ca11ffb720bf98bd2c81543bda85",
+    "odd-99-csv": "d6b89725144a531bfdffbcc05823a3904c89462bd86e63854b12e4aa9141a905",
+    "even-1,0,1-30-csv": "0e61478f3849c2a8771ebe15b6eb1ea10387f75039aac180942aefed9836c15f",
+    "complex-42-1000-json": "d488900e4ddde690cb47a5ed52dd165ca26561cb1f0d677c18422ab1485ea245",
+    "complex-1,0,1-7-2000-csv": "2857cb2498406a51a511f5de5082dae387c48ba1b37851a88a573991ca54f90b",
+    "complex-5,-3,7-1378860992-1000-json": "0d3ee9543d00442e6740e2150dcc6bd944eadb29b93fb88af69daab61f0cba9c",
 }
 
 
@@ -298,6 +314,113 @@ def test_reports_match_pinned_bytes():
         assert hashlib.sha256(payload).hexdigest() == PINNED_SHA256[name], name
 
 
+def csv_rows(payload: bytes) -> list[list[str]]:
+    return list(csv.reader(io.StringIO(payload.decode())))
+
+
+def test_real_family_rows_print_zero_imaginary_part():
+    # on the real locus q is real, so Im j is exactly 0 rather than noise
+    for report in (sample_odd(odd_cfg(99)), sample_even(even_cfg(TauExact(1, 0, 1), 30))):
+        rows = csv_rows(emit(report, "csv"))[1:]
+        assert len(rows) == len(report.samples) > 1000
+        assert all(row[2] == "0" for row in rows)
+
+
+def csv_writer_reference(report) -> bytes:
+    """The CSV that csv.writer makes of a report: the reference for emit."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(["label", "re_j", "im_j", "branch", "parity", "degree"])
+    for s in report.samples:
+        writer.writerow(
+            [
+                s.label,
+                format(s.j.real, ".12g"),
+                format(s.j.imag, ".12g"),
+                s.branch or "",
+                s.parity.value,
+                "" if s.degree is None else s.degree,
+            ]
+        )
+    return out.getvalue().encode()
+
+
+def test_emit_csv_matches_csv_writer():
+    # odd labels hold a comma, even labels a colon and a comma, complex labels
+    # neither; odd N=199 reaches -inf and enumeration leaves branch and degree
+    reports = [
+        sample_odd(odd_cfg(199)),
+        sample_even(even_cfg(TauExact(1, 0, 1), 12)),
+        sample_complex(DensityConfig(mode=Mode.COMPLEX, base=BASE_ODD, draws=300, seed=4)),
+        coverage_report_from_points(enumerate_real_odd_cm(-1155)),
+    ]
+    assert any(math.isinf(s.j.real) for s in reports[0].samples)
+    for report in reports:
+        assert emit(report, "csv") == csv_writer_reference(report)
+
+
+# checks.py's rule: 1e-8 relative to |j|, and an infinity only for a component
+# of a j past the double range, with the component's sign
+MPMATH_J_TOL = 1e-8
+DBL_MAX = 1.7976931348623157e308
+
+
+def mpmath_j(mpmath, z):
+    """1728 * kleinj(z) after reducing z at mpmath's working precision."""
+    while True:
+        z = z - mpmath.floor(z.real + mpmath.mpf(1) / 2)
+        if abs(z) >= 1:
+            return 1728 * mpmath.kleinj(z)
+        z = -1 / z
+
+
+def close_to_mpmath(value: float, exact, scale) -> bool:
+    if math.isinf(value):
+        return scale > DBL_MAX * (1 - MPMATH_J_TOL) and (value > 0) == (exact > 0)
+    return abs(value - exact) <= MPMATH_J_TOL * (1 + scale)
+
+
+def test_odd_row_in_the_overflow_window_is_finite():
+    # row 391,3 of the odd family: 2*pi*Im tau is about 709.2, above 709 but
+    # inside the double range, so j is finite (mpmath: -9.99343e307)
+    mpmath = pytest.importorskip("mpmath")
+    m, n = 391, 3
+    j = j_of_tau(TauExact(4 * n * n, -4 * n * n, n * n + 3 * m * m))
+    assert j.imag == 0.0 and math.isfinite(j.real)
+    with mpmath.workdps(50):
+        exact = mpmath_j(mpmath, mpmath.mpc(0.5, mpmath.sqrt(3) * m / (2 * n)))
+        assert close_to_mpmath(j.real, exact.real, abs(exact))
+        assert -1e308 < j.real < -9.99e307
+
+
+@pytest.mark.parametrize(
+    "seed, index, label",
+    [
+        # moves the base to the line, j = -5.16e531: the float image of the
+        # moved triple printed -inf - inf i, Im j is 0
+        (140584515, 951, "f2c244c65bc4"),
+        # reduces to (163, 99, 2075997), j = -2.959e307 + 8.437e307i, which
+        # printed as -inf + inf i
+        (388673817, 88, "88a2274ed781"),
+    ],
+)
+def test_complex_draws_near_overflow_match_mpmath(seed, index, label):
+    mpmath = pytest.importorskip("mpmath")
+    report = sample_complex(DensityConfig(mode=Mode.COMPLEX, base=BASE_ODD, draws=index + 1, seed=seed))
+    sample = report.samples[index]
+    assert sample.label == label
+    rng = random.Random(seed)
+    for _ in range(index + 1):
+        matrix = _draw_matrix(rng)
+    with mpmath.workdps(50):
+        tau = mpmath.mpc(0.5, mpmath.sqrt(3) / 2)
+        ea, eb, ec, ed = (mpmath.mpf(x.numerator) / x.denominator for x in matrix.entries())
+        exact = mpmath_j(mpmath, (ea * tau + eb) / (ec * tau + ed))
+        scale = abs(exact)
+        assert close_to_mpmath(sample.j.real, exact.real, scale)
+        assert close_to_mpmath(sample.j.imag, exact.imag, scale)
+
+
 def counting(monkeypatch, function, modules):
     """Count the calls of function made through any of the modules' names."""
     calls = []
@@ -319,7 +442,7 @@ def test_odd_evaluates_j_once_per_distinct_ratio(monkeypatch):
     pairs = [(m, q) for m in range(1, n + 1, 2) for q in range(1, n + 1, 2) if 3 * m * m > q * q]
     ratios = {Fraction(m, q) for m, q in pairs}
     assert len(ratios) < len(pairs)
-    calls = counting(monkeypatch, density.j_numeric, [density])
+    calls = counting(monkeypatch, density.j_of_tau, [density])
     report = sample_odd(odd_cfg(n))
     assert len(report.samples) == len(pairs)
     assert len(calls) == len(ratios)
@@ -327,7 +450,7 @@ def test_odd_evaluates_j_once_per_distinct_ratio(monkeypatch):
 
 
 def test_even_evaluates_j_once_per_distinct_point(monkeypatch):
-    calls = counting(monkeypatch, density.j_numeric, [density])
+    calls = counting(monkeypatch, density.j_of_tau, [density])
     report = sample_even(even_cfg(TauExact(1, 0, 3), 12))
     points = {(s.branch, Fraction(*map(int, s.label.split(":")[1].split(",")))) for s in report.samples}
     assert len(calls) == len(points) < len(report.samples)

@@ -118,8 +118,10 @@ def test_enumerate_minus_1155():
 
 def test_enumerate_factors_d_once():
     # counts real work, wherever it happens: saturated_divisors, every
-    # order_of_tau and SquarefreeInt all go through factorize's one cache
-    for D in (-1155, -1000036000099):
+    # order_of_tau and SquarefreeInt all go through factorize's one cache;
+    # -999999999999999819 = -3**2 * p, whose squarefree part is validated
+    # from D's factorization instead of being factored again
+    for D in (-1155, -1000036000099, -999999999999999819):
         factorize.cache_clear()
         points = enumerate_real_odd_cm(D)
         assert factorize.cache_info().misses == 1, D

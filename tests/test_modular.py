@@ -12,6 +12,7 @@ from cmparity import (
     f_curve,
     is_real_j,
     j_numeric,
+    j_of_tau,
     moebius,
     reduce_fundamental,
     t_representative,
@@ -36,6 +37,8 @@ INTEGER_J = {
     -27: -12288000,
     -28: 16581375,
     -43: -884736000,
+    -67: -147197952000,
+    -163: -262537412640768000,
 }
 
 
@@ -60,6 +63,19 @@ def test_integer_j_for_class_number_one():
         assert abs(j.real - expected) < 1e-6 * (1 + abs(expected)), disc
 
 
+def test_j_of_tau_integer_values_are_real():
+    # ambiguous forms go to floats as locus points, where q is real: Im j is
+    # exactly 0, and the value is the integer to 1e-9 relative; an unreduced
+    # triple of the same point (moved by tau -> -1/(tau + 3)) gives the same j
+    for disc, expected in INTEGER_J.items():
+        tau = tau_of_disc(disc)
+        j = j_of_tau(tau)
+        assert j.imag == 0.0, disc
+        assert abs(j.real - expected) <= 1e-9 * max(1, abs(expected)), disc
+        moved = moebius(RatMatrix2.from_ints(0, -1, 1, 3), tau)
+        assert moved != tau and j_of_tau(moved) == j, disc
+
+
 def test_j_rejects_bad_points():
     with pytest.raises(ValueError):
         j_numeric(complex(0.3, -1.0))
@@ -78,6 +94,15 @@ def test_j_deep_cusp_overflow():
     # just below the double limit the asymptotic branch stays finite
     j = j_numeric(complex(0.5, 100.0))
     assert j.real == -math.exp(2 * math.pi * 100.0)
+    # 2*pi*Im z between 709 and log(DBL_MAX) = 709.78: still finite
+    j = j_numeric(complex(0.5, 709.5 / (2 * math.pi)))
+    assert j.real == -math.exp(709.5) and math.isfinite(j.imag)
+    # off the locus each component is finite while it fits a double, even
+    # when exp(2*pi*Im z) alone does not
+    grow, cos_t = 710.5, math.cos(2 * math.pi * 0.2)
+    j = j_numeric(complex(0.2, grow / (2 * math.pi)))
+    assert j.real == pytest.approx(math.exp(grow + math.log(cos_t)), rel=1e-12)
+    assert j.imag == -math.inf
 
 
 def test_reduce_fundamental_examples():

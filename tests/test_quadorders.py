@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -8,6 +9,7 @@ from cmparity import (
     CanonicalKind,
     Parity,
     QuadOrder,
+    SquarefreeInt,
     canonical_generator,
     field_discriminant,
     order_discriminant,
@@ -80,6 +82,33 @@ def test_squarefree_validation():
             squarefree(bad)
     assert squarefree(-2).value == -2
     assert squarefree(30).value == 30
+
+
+def brute_squarefree(v: int) -> bool:
+    return all(v % (k * k) for k in range(2, abs(v) + 1))
+
+
+def test_squarefree_part_of_a_multiple():
+    # validated from the multiple's factorization; the oracle is independent:
+    # accepted exactly when value is squarefree and n / value is a square, so
+    # never when value has a repeated prime
+    for n in list(range(-120, 0)) + list(range(2, 120)):
+        for value in range(-120, 121):
+            if value in (0, 1):
+                continue
+            quotient, rest = divmod(n, value)
+            part = (
+                rest == 0
+                and quotient > 0
+                and math.isqrt(quotient) ** 2 == quotient
+                and brute_squarefree(value)
+            )
+            if part:
+                assert SquarefreeInt(value, part_of=n).value == value
+            else:
+                with pytest.raises(ValueError):
+                    SquarefreeInt(value, part_of=n)
+    assert SquarefreeInt(-3, part_of=-27) == SquarefreeInt(-3)
 
 
 def test_conductor_validation():
