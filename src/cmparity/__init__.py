@@ -27,10 +27,8 @@ from .density import (
 )
 from .enumeration import (
     CMClassPoint,
-    FactoredInt,
     count_saturated_below_sqrt,
     enumerate_real_odd_cm,
-    factorize,
     min_j_gap,
     saturated_divisors,
 )
@@ -43,6 +41,7 @@ from .errors import (
     NotInGroupError,
     NotRealJError,
 )
+from .factorint import FactoredInt, factorize
 from .isogenies import (
     Isogeny,
     RatMatrix2,

@@ -116,12 +116,6 @@ def _cmd_order(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
-    if args.disc >= 0 or args.disc % 4 != 1:
-        print(
-            "error: discriminant must be negative and congruent to 1 mod 4",
-            file=sys.stderr,
-        )
-        return 2
     points = enumerate_real_odd_cm(args.disc)
     entries = [
         {

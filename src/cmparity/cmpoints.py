@@ -215,10 +215,8 @@ def is_maximal_halfint(D: int, beta: int) -> bool:
 
 
 def _validate_halfint_disc(D: int):
-    if D >= 0:
-        raise ValueError("D must be negative")
-    if D % 4 != 1:
-        raise ValueError("D must be congruent to 1 mod 4")
+    if D >= 0 or D % 4 != 1:
+        raise ValueError("discriminant must be negative and congruent to 1 mod 4")
 
 
 def halfint_element(D: int) -> QuadElement:

@@ -99,7 +99,6 @@ def _build_report(
     mode: Mode,
     samples: list[SamplePoint],
     bin_width: float,
-    two_dim: bool,
     denom_bound: int | None,
     seed: int | None,
 ) -> CoverageReport:
@@ -108,7 +107,7 @@ def _build_report(
     bins = set()
     for s in samples:
         re, im = s.j.real, s.j.imag
-        if two_dim:
+        if mode is Mode.COMPLEX:
             if x0 <= re <= x1 and y0 <= im <= y1:
                 bins.add((math.floor(re / bin_width), math.floor(im / bin_width)))
         elif math.isfinite(re):  # overflowed cusp values carry no bin
@@ -203,7 +202,7 @@ def sample_odd(cfg: DensityConfig) -> CoverageReport:
         )
 
     samples = _family_samples(pairs, triple, Parity.ODD, "", sample)
-    report = _build_report(cfg.mode, samples, cfg.bin_width, False, n_max, None)
+    report = _build_report(cfg.mode, samples, cfg.bin_width, n_max, None)
     if not report.all_below_1728:
         raise InternalCheckError("odd family produced a j at or above 1728")
     return report
@@ -255,7 +254,7 @@ def sample_even(cfg: DensityConfig) -> CoverageReport:
         "T2",
         sampler("T2"),
     )
-    return _build_report(cfg.mode, samples, cfg.bin_width, False, n_max, None)
+    return _build_report(cfg.mode, samples, cfg.bin_width, n_max, None)
 
 
 # Complex mode draws each entry as p/q with p uniform in [-DRAW_NUMERATOR_BOUND,
@@ -328,7 +327,7 @@ def sample_complex(cfg: DensityConfig) -> CoverageReport:
         )
 
     samples = [evaluate(m) for m in matrices]
-    return _build_report(cfg.mode, samples, cfg.bin_width, True, None, cfg.seed)
+    return _build_report(cfg.mode, samples, cfg.bin_width, None, cfg.seed)
 
 
 def coverage_report_from_points(points: list[CMClassPoint]) -> CoverageReport:
@@ -343,7 +342,7 @@ def coverage_report_from_points(points: list[CMClassPoint]) -> CoverageReport:
         )
         for p in points
     ]
-    return _build_report(Mode.ODD_REAL, samples, 100.0, False, None, None)
+    return _build_report(Mode.ODD_REAL, samples, 100.0, None, None)
 
 
 def fmt_float(x: float) -> str:

@@ -14,15 +14,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .cmpoints import TauExact, order_of_tau, parity_of_tau, tau_from_beta
+from .cmpoints import TauExact, _validate_halfint_disc, order_of_tau, parity_of_tau, tau_from_beta
 from .errors import InternalCheckError
-from .factorint import FactoredInt, factorize
+from .factorint import factorize
 from .modular import j_of_tau
 from .quadorders import Parity, order_discriminant
 
 __all__ = [
-    "FactoredInt",
-    "factorize",
     "CMClassPoint",
     "saturated_divisors",
     "count_saturated_below_sqrt",
@@ -60,10 +58,7 @@ def saturated_divisors(n: int) -> list[int]:
 def count_saturated_below_sqrt(n: int) -> int:
     """Number of positive saturated divisors r of n with r < sqrt(|n|), for
     negative n = 1 (mod 4); always exactly half of all of them."""
-    if n >= 0:
-        raise ValueError("n must be negative")
-    if n % 4 != 1:
-        raise ValueError("n must be congruent to 1 mod 4")
+    _validate_halfint_disc(n)
     divisors = saturated_divisors(n)
     count = sum(1 for r in divisors if r * r < abs(n))
     if count != len(divisors) // 2:
@@ -81,10 +76,7 @@ def enumerate_real_odd_cm(D: int) -> list[CMClassPoint]:
     strictly below 1728; the smallest j is attained at beta = 1 (the point of
     largest imaginary part), which is asserted rather than assumed.
     """
-    if D >= 0:
-        raise ValueError("discriminant must be negative")
-    if D % 4 != 1:
-        raise ValueError("discriminant must be congruent to 1 mod 4")
+    _validate_halfint_disc(D)
     divisors = saturated_divisors(D)
     points: list[CMClassPoint] = []
     for beta in divisors:

@@ -22,6 +22,10 @@ reduced point, with the complex q = exp(2*pi*i*z). One pair of series serves
 both kinds of q. Above the cusp height only 1/q + 744 is kept, and a
 component of j is infinite only past the double range: when 2*pi*Im z plus
 the log of the component's phase factor exceeds log(DBL_MAX) = 709.78.
+
+The branch functions axis_curve and f_curve sum the real q at a height t, so
+t_representative's residual check compares two independent routes: the real
+q at the form's t, as in j_of_tau, and the complex q at the reduced point.
 """
 
 from __future__ import annotations
@@ -45,7 +49,6 @@ SERIES_MAX_TERMS = 64
 RE_Z_ERR = 1e-13
 REAL_J_ABS_TOL = 1e-12
 BRANCH_RESIDUAL_TOL = 1e-6
-F_CURVE_IMAG_TOL = 1e-9
 
 J_SPLIT = 1728.0  # branch junction value j(i)
 
@@ -164,11 +167,8 @@ def _j_cusp_asymptotic(z: complex) -> complex:
 def _j_locus(sign: float, t: float) -> float:
     """j at the real-locus point of height t from the real q = sign*exp(-2*pi*t):
     sign is 1 on the axis (real part 0) and -1 on the line (real part 1/2)."""
-    if t > _CUSP_HEIGHT:
-        try:
-            return sign * math.exp(2.0 * math.pi * t) + 744.0
-        except OverflowError:
-            return math.copysign(math.inf, sign)
+    if t > _CUSP_HEIGHT:  # cos(0) = 1 and cos(-pi) = -1 exactly: sign*exp(2*pi*t) + 744
+        return _j_cusp_asymptotic(complex(0.0 if sign > 0 else 0.5, t)).real
     return _j_series(sign * math.exp(-2.0 * math.pi * t))
 
 
@@ -286,25 +286,19 @@ def is_real_j(t: TauExact) -> bool:
 
 
 def axis_curve(t: float) -> float:
-    """j(i*t) for t >= 1; strictly increasing with value 1728 at t = 1."""
+    """j(i*t) for t >= 1, from the real q = exp(-2*pi*t); strictly increasing
+    with value 1728 at t = 1."""
     if t < 1.0 - 1e-12:
         raise ValueError("axis branch needs t >= 1")
-    j = j_numeric(complex(0.0, t))
-    return j.real
+    return _j_locus(1.0, t)
 
 
 def f_curve(t: float) -> float:
-    """j(1/2 + i*t) for t >= 1/2; strictly decreasing from f(1/2) = 1728.
-
-    The imaginary part of the computed value must vanish to working accuracy,
-    which is asserted.
-    """
+    """j(1/2 + i*t) for t >= 1/2, from the real q = -exp(-2*pi*t); strictly
+    decreasing from f(1/2) = 1728."""
     if t < 0.5:
         raise ValueError("line branch needs t >= 1/2")
-    j = j_numeric(complex(0.5, t))
-    if abs(j.imag) >= F_CURVE_IMAG_TOL * (1.0 + abs(j)):
-        raise InternalCheckError(f"line-branch value not real: j({t}) = {j}")
-    return j.real
+    return _j_locus(-1.0, t)
 
 
 def t_representative(t: TauExact) -> TPoint:
@@ -315,9 +309,10 @@ def t_representative(t: TauExact) -> TPoint:
     If b = -a, tau is 1/2 + i*sqrt((4c - a)/a)/2 on the line. Otherwise a = c
     puts tau on the unit arc, which z -> z/(z + 1) carries to the line point
     1/2 + i*sqrt((2a + |b|)/(2a - |b|))/2. Each ratio is an int true division,
-    correctly rounded however large the triple. The branch function at the
-    result is checked against j at the reduced point: the float image of a
-    large unreduced triple can lose digits in the numeric reduction.
+    correctly rounded however large the triple. Two independent routes to j
+    are then compared: the branch function at the result, summed at the real
+    q as j_of_tau does for this form, and j_numeric with the complex q at the
+    exactly reduced point.
 
     Reduces once and evaluates j at the reduced point once, for both the
     real-j test and that check.

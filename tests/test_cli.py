@@ -51,22 +51,22 @@ def test_repeated_calls_keep_their_own_format(capsys):
 
 
 def test_classify_evaluates_j_once_at_the_reduced_point(monkeypatch, capsys):
-    # one j for the real-j verdict, reused by the locus point; a real point
-    # adds one for its branch-residual check
+    # one complex-q j for the real-j verdict, reused by the locus point; a
+    # real point adds one real-q j on its branch for the residual check
     from cmparity import modular
 
-    j_numeric = modular.j_numeric
-    calls = []
+    calls = {"j_numeric": 0, "_j_locus": 0}
+    for name in calls:
 
-    def counted(z):
-        calls.append(z)
-        return j_numeric(z)
+        def counted(*args, _name=name, _original=getattr(modular, name)):
+            calls[_name] += 1
+            return _original(*args)
 
-    monkeypatch.setattr(modular, "j_numeric", counted)
-    for triple, expected in (("35,-105,98", 2), ("3,5,7", 1)):
-        calls.clear()
+        monkeypatch.setattr(modular, name, counted)
+    for triple, expected in (("35,-105,98", (1, 1)), ("3,5,7", (1, 0))):
+        calls.update(dict.fromkeys(calls, 0))
         code, _, _ = run_cli(capsys, "classify", "--tau", triple)
-        assert code == 0 and len(calls) == expected, triple
+        assert code == 0 and (calls["j_numeric"], calls["_j_locus"]) == expected, triple
 
 
 def test_classify_huge_non_real_point(capsys):

@@ -319,6 +319,23 @@ def test_axis_curve_strictly_increasing():
     assert all(v >= 1728 - 1e-6 for v in values)
 
 
+@pytest.mark.parametrize("curve, real_part, t0", [(axis_curve, 0, 1.0), (f_curve, 0.5, 0.5)])
+def test_branch_curves_against_mpmath(curve, real_part, t0):
+    # relative to max(1, |j|), since the line branch crosses 0 at sqrt(3)/2
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        for k in range(301):
+            t = t0 + (84.0 - t0) * k / 300
+            exact = 1728 * mpmath.kleinj(mpmath.mpc(real_part, t))
+            err = abs(mpmath.mpf(curve(t)) - exact.real) / max(1, abs(exact.real))
+            assert err <= 1e-12, (t, curve(t), exact.real)
+
+
+def test_branch_curves_overflow_to_signed_infinity():
+    assert axis_curve(115.0) == math.inf
+    assert f_curve(115.0) == -math.inf
+
+
 def test_sl2_invariance():
     rng = random.Random(SEED + 1)
     for _ in range(100):
