@@ -196,11 +196,6 @@ def _cmd_density(args) -> int:
     }[mode]
     report = runner(cfg)
     payload = emit(report, args.format)
-    if args.out == "-":
-        sys.stdout.buffer.write(payload)
-    else:
-        with open(args.out, "wb") as handle:
-            handle.write(payload)
     summary = (
         f"samples={len(report.samples)} "
         f"min_j={'n/a' if report.min_j is None else fmt_float(report.min_j)} "
@@ -210,6 +205,12 @@ def _cmd_density(args) -> int:
     )
     if mode is Mode.COMPLEX:
         summary += f" seed={report.seed}"
+    del report  # its samples need not outlive the payload's bytes
+    if args.out == "-":
+        sys.stdout.buffer.write(payload)
+    else:
+        with open(args.out, "wb") as handle:
+            handle.write(payload)
     print(summary)
     return 0
 

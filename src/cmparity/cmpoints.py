@@ -96,26 +96,27 @@ class Lattice:
         return self.g1.d
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, slots=True)
 class TauExact:
     """Primitive integral triple (a, b, c): the CM point (-b + sqrt(b^2-4ac))/(2a).
 
     Construction normalizes the sign so a > 0 and divides out gcd(a, b, c);
-    neither step moves the point. Requires b**2 - 4ac < 0.
+    neither step moves the point. Requires b**2 - 4ac < 0. Each field is set
+    once, to its normalized value.
     """
 
     a: int
     b: int
     c: int
 
-    def __post_init__(self):
-        a, b, c = self.a, self.b, self.c
+    def __init__(self, a: int, b: int, c: int):
         if a == 0:
             raise ValueError("leading coefficient must be nonzero")
         if a < 0:
             a, b, c = -a, -b, -c
-        g = math.gcd(math.gcd(a, abs(b)), abs(c))
-        a, b, c = a // g, b // g, c // g
+        g = math.gcd(a, b, c)
+        if g != 1:
+            a, b, c = a // g, b // g, c // g
         if b * b - 4 * a * c >= 0:
             raise ValueError("discriminant must be negative")
         object.__setattr__(self, "a", a)
@@ -217,13 +218,6 @@ def is_maximal_halfint(D: int, beta: int) -> bool:
 def _validate_halfint_disc(D: int):
     if D >= 0 or D % 4 != 1:
         raise ValueError("discriminant must be negative and congruent to 1 mod 4")
-
-
-def halfint_element(D: int) -> QuadElement:
-    """(1 + sqrt(D))/2 as an exact element, D < 0 and D = 1 (mod 4)."""
-    _validate_halfint_disc(D)
-    m, d = squarefree_decompose(D)
-    return QuadElement(Fraction(1, 2), Fraction(m, 2), SquarefreeInt(d, part_of=D))
 
 
 def order_contains(o: QuadOrder, u: QuadElement) -> bool:

@@ -13,12 +13,17 @@ The real families are built from the integers (m, n) directly: the filter
 and the exact triple are integer expressions, with no rationals. A member
 depends on the ratio m/n only, so its triple, its parity check and its j are
 evaluated once per reduced ratio, and the other pairs with that ratio reuse
-the j. Every mode gets j from modular.j_of_tau, the one place where an exact
-point becomes a float: the triple is reduced on the integers first, and a
+the j. One pass over the pairs does both, since a reduced ratio comes
+before its multiples. Each row is a SamplePoint, a NamedTuple built
+positionally, so a row costs little more than its label and its degree.
+
+Every mode gets j from modular.j_of_tau, the one place where an exact point
+becomes a float: the triple is reduced on the integers first, and a
 real-family member, whose reduced form is ambiguous, is evaluated at a real q
 on the locus, so its Im j is exactly 0. A component of j is infinite only
 past the double range: when 2*pi*Im z at the reduced point, plus the log of
-the component's phase factor, exceeds log(DBL_MAX) = 709.78.
+the component's phase factor, exceeds log(DBL_MAX) = 709.78; such a value,
+like any value whose quotient by the bin width overflows, gets no bin.
 
 Complex mode draws each matrix as integer (numerator, denominator) pairs,
 read off the seeded generator's raw bits, and decides odd-group membership
@@ -35,7 +40,9 @@ import hashlib
 import json
 import math
 import random
+from collections import Counter
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .cmpoints import TauExact, parity_of_tau
 from .enumeration import CMClassPoint
@@ -66,14 +73,16 @@ class DensityConfig:
     def __post_init__(self):
         if self.denom_bound < 1:
             raise ValueError("denominator bound must be positive")
-        if self.bin_width <= 0:
+        if not self.bin_width > 0:  # NaN too
             raise ValueError("bin width must be positive")
         if self.draws < 0:
             raise ValueError("draw count must be nonnegative")
 
 
-@dataclass(frozen=True, slots=True)
-class SamplePoint:
+class SamplePoint(NamedTuple):
+    """One row of a report. A NamedTuple: immutable, and built as cheaply as
+    a tuple, since a report holds one per pair or draw."""
+
     label: str
     j: complex
     branch: str | None
@@ -102,20 +111,24 @@ def _build_report(
     denom_bound: int | None,
     seed: int | None,
 ) -> CoverageReport:
+    """Range of Re j, bins hit (of Re j, or of j inside DEFAULT_RECT in complex
+    mode) and rows per branch; a non-finite quotient by the width has no bin."""
     res = [s.j.real for s in samples]
-    x0, x1, y0, y1 = DEFAULT_RECT
     bins = set()
-    for s in samples:
-        re, im = s.j.real, s.j.imag
-        if mode is Mode.COMPLEX:
+    if mode is Mode.COMPLEX:
+        x0, x1, y0, y1 = DEFAULT_RECT
+        for s in samples:
+            re, im = s.j.real, s.j.imag
             if x0 <= re <= x1 and y0 <= im <= y1:
-                bins.add((math.floor(re / bin_width), math.floor(im / bin_width)))
-        elif math.isfinite(re):  # overflowed cusp values carry no bin
-            bins.add(math.floor(re / bin_width))
-    counts: dict[str, int] = {}
-    for s in samples:
-        if s.branch:
-            counts[s.branch] = counts.get(s.branch, 0) + 1
+                u, v = re / bin_width, im / bin_width
+                if math.isfinite(u) and math.isfinite(v):
+                    bins.add((math.floor(u), math.floor(v)))
+    else:
+        for re in res:
+            u = re / bin_width
+            if math.isfinite(u):
+                bins.add(math.floor(u))
+    counts = Counter(s.branch for s in samples if s.branch)
     return CoverageReport(
         mode=mode,
         samples=samples,
@@ -123,7 +136,7 @@ def _build_report(
         max_j=max(res) if res else None,
         bins_hit=len(bins),
         all_below_1728=all(r < J_SPLIT for r in res),
-        branch_counts=counts,
+        branch_counts=dict(counts),
         denom_bound=denom_bound,
         seed=seed,
         bin_width=bin_width,
@@ -135,31 +148,30 @@ def _family_samples(
     triple,
     parity: Parity,
     family: str,
-    sample,
+    row,
 ) -> list[SamplePoint]:
     """Samples of a real family, one per pair (m, n), in the order of pairs.
 
     triple(m, n) is the exact point of the pair. That point depends on the
-    ratio m/n only, and pairs holds the reduced form of each of its ratios, so
-    the triple, its parity check and j_of_tau run once per reduced ratio;
-    every other pair reuses the j of its reduced ratio.
-    sample(pair, j) builds the sample.
+    ratio m/n only, and pairs holds the reduced form of each of its ratios
+    before any multiple of it (pairs runs over m in increasing order), so
+    the triple, its parity check and j_of_tau run once per reduced ratio, in
+    one pass; every other pair reuses the j of its reduced ratio.
+    row(m, n, g, j) builds the sample of (m, n), with g = gcd(m, n).
     """
-    ratios = [pair for pair in pairs if math.gcd(*pair) == 1]
-
-    def evaluate(ratio: tuple[int, int]) -> complex:
-        tau = triple(*ratio)
-        if parity_of_tau(tau) is not parity:
-            m, n = ratio
-            raise InternalCheckError(f"family member {family}({m},{n}) is not {parity.value}")
-        return j_of_tau(tau)
-
-    j_of = {ratio: evaluate(ratio) for ratio in ratios}
+    j_of = {}  # reduced pair -> j
     samples = []
     for pair in pairs:
         m, n = pair
         g = math.gcd(m, n)
-        samples.append(sample(pair, j_of[(m // g, n // g)]))
+        if g == 1:
+            tau = triple(m, n)
+            if parity_of_tau(tau) is not parity:
+                raise InternalCheckError(f"family member {family}({m},{n}) is not {parity.value}")
+            j = j_of[pair] = j_of_tau(tau)
+        else:
+            j = j_of[m // g, n // g]
+        samples.append(row(m, n, g, j))
     return samples
 
 
@@ -189,19 +201,14 @@ def sample_odd(cfg: DensityConfig) -> CoverageReport:
         # 1/2 + i*t with t^2 = m^2*k / (4*n^2*a), cleared of denominators
         return TauExact(4 * n * n * a, -4 * n * n * a, n * n * a + m * m * k)
 
-    def sample(pair: tuple[int, int], j: complex) -> SamplePoint:
-        m, n = pair
-        # connecting matrix ((m, (n-m)/2), (0, n)); degree = det / gcd^2
-        g = math.gcd(m, (n - m) // 2, n)
-        return SamplePoint(
-            label=f"{m},{n}",
-            j=j,
-            branch="T2",
-            parity=Parity.ODD,
-            degree=m * n // (g * g),
-        )
+    odd = Parity.ODD
 
-    samples = _family_samples(pairs, triple, Parity.ODD, "", sample)
+    def row(m: int, n: int, g: int, j: complex) -> SamplePoint:
+        # connecting matrix ((m, (n-m)/2), (0, n)); degree = det / gcd^2, and
+        # gcd(m, (n-m)/2, n) = gcd(m, n) = g, since g is odd and divides n - m
+        return SamplePoint(f"{m},{n}", j, "T2", odd, m * n // (g * g))
+
+    samples = _family_samples(pairs, triple, odd, "", row)
     report = _build_report(cfg.mode, samples, cfg.bin_width, n_max, None)
     if not report.all_below_1728:
         raise InternalCheckError("odd family produced a j at or above 1728")
@@ -228,17 +235,10 @@ def sample_even(cfg: DensityConfig) -> CoverageReport:
     line = range(1, n_max + 1, 2 if d % 4 == 1 else 1)
 
     def sampler(branch: str):
-        def sample(pair: tuple[int, int], j: complex) -> SamplePoint:
-            m, n = pair
-            return SamplePoint(
-                label=f"{branch}:{m},{n}",
-                j=j,
-                branch=branch,
-                parity=Parity.EVEN,
-                degree=None,
-            )
+        def row(m: int, n: int, g: int, j: complex) -> SamplePoint:
+            return SamplePoint(f"{branch}:{m},{n}", j, branch, Parity.EVEN, None)
 
-        return sample
+        return row
 
     samples = _family_samples(
         [(m, n) for m in axis for n in axis if m * m * abs_d >= n * n],  # t >= 1
@@ -368,14 +368,15 @@ def emit(report: CoverageReport, fmt: str = "csv") -> bytes:
     is quoted when it holds a comma (the labels this module makes hold no
     quote or line break), and floats print at 12 significant digits.
     """
+    parity_text = {p: p.value for p in Parity}
     if fmt == "csv":
         rows = ["label,re_j,im_j,branch,parity,degree\n"]
-        for s in report.samples:
-            label = f'"{s.label}"' if "," in s.label else s.label
-            degree = "" if s.degree is None else s.degree
+        for label, j, branch, parity, degree in report.samples:
+            if "," in label:
+                label = f'"{label}"'
             rows.append(
-                f"{label},{s.j.real:.12g},{s.j.imag:.12g},{s.branch or ''},"
-                f"{s.parity.value},{degree}\n"
+                f"{label},{j.real:.12g},{j.imag:.12g},{branch or ''},"
+                f"{parity_text[parity]},{'' if degree is None else degree}\n"
             )
         return "".join(rows).encode()
     if fmt == "json":
@@ -396,7 +397,7 @@ def emit(report: CoverageReport, fmt: str = "csv") -> bytes:
                     "re_j": _json_num(s.j.real),
                     "im_j": _json_num(s.j.imag),
                     "branch": s.branch,
-                    "parity": s.parity.value,
+                    "parity": parity_text[s.parity],
                     "degree": s.degree,
                 }
                 for s in report.samples

@@ -18,10 +18,20 @@ to floats only as the height t of that locus point, and the series is summed
 at the real q = exp(-2*pi*t) on the axis or -exp(-2*pi*t) on the line, so Im
 j is exactly 0; the arc's line points have t > 1/2, where |q| < exp(-pi) and
 the series still converges. Any other form goes to j_numeric as its exactly
-reduced point, with the complex q = exp(2*pi*i*z). One pair of series serves
-both kinds of q. Above the cusp height only 1/q + 744 is kept, and a
-component of j is infinite only past the double range: when 2*pi*Im z plus
-the log of the component's phase factor exceeds log(DBL_MAX) = 709.78.
+reduced point, with the complex q = exp(2*pi*i*z).
+
+Both kinds of q go through one loop. It sums E4 and the eta product over
+the same powers q^n, and it stops once each has met its own stop test.
+Running either one past its own stop cannot change a bit of it. Every q
+here has |q| <= exp(-pi), so each E4 term is below 0.4 times the one
+before, and a term under SERIES_CUTOFF = 1e-20 of the sum is far below half
+an ulp. Past the product's stop, 1.0 - q^n has real part exactly 1.0, and
+its imaginary part moves that of the product by about n*|q|^(n-1) < 1e-18
+relative, also far below half an ulp.
+
+Above the cusp height only 1/q + 744 is kept, and a component of j is
+infinite only past the double range: when 2*pi*Im z plus the log of the
+component's phase factor exceeds log(DBL_MAX) = 709.78.
 
 The branch functions axis_curve and f_curve sum the real q at a height t, so
 t_representative's residual check compares two independent routes: the real
@@ -65,7 +75,8 @@ def _sigma3_table(limit: int) -> list[int]:
     return sig
 
 
-_SIGMA3 = _sigma3_table(SERIES_MAX_TERMS)
+# 240*sigma3(n) for n = 1..SERIES_MAX_TERMS, each exact: below 2**53
+_E4_COEFFS = [240.0 * s for s in _sigma3_table(SERIES_MAX_TERMS)[1:]]
 
 
 @dataclass(frozen=True)
@@ -104,34 +115,23 @@ def _reduce_numeric(z: complex) -> complex:
     raise InternalCheckError("fundamental-domain reduction did not converge")
 
 
-# The series take a real or a complex q; starting from 1.0 keeps a real q real.
-def _eisenstein4(q: complex) -> complex:
-    total = 1.0
-    qn = 1.0
-    for n in range(1, SERIES_MAX_TERMS + 1):
-        qn *= q
-        term = 240.0 * _SIGMA3[n] * qn
-        total += term
-        if abs(term) < SERIES_CUTOFF * abs(total):
-            break
-    return total
-
-
-def _eta_factor(q: complex) -> complex:
-    """prod(1 - q^n); cube of its 8th power times q gives the discriminant form."""
-    prod = 1.0
-    qn = 1.0
-    for _ in range(SERIES_MAX_TERMS):
-        qn *= q
-        prod *= 1.0 - qn
-        if abs(qn) < SERIES_CUTOFF * abs(prod):
-            break
-    return prod
-
-
 def _j_series(q: complex) -> complex:
-    """j = E4^3 / Delta from the q-expansions, for a real or a complex q."""
-    return _eisenstein4(q) ** 3 / (q * _eta_factor(q) ** 24)
+    """j = E4^3 / Delta from the q-expansions, for a real or a complex q.
+
+    One loop sums E4 = 1 + 240*sum(sigma3(n) q^n) and the eta product
+    prod(1 - q^n), whose 24th power times q is Delta, over the same powers
+    q^n; starting from 1.0 keeps a real q real. It stops when the E4 term
+    and q^n are both below SERIES_CUTOFF times their partial results.
+    """
+    e4 = prod = qn = 1.0
+    for coeff in _E4_COEFFS:
+        qn *= q
+        term = coeff * qn
+        e4 += term
+        prod *= 1.0 - qn
+        if abs(term) < SERIES_CUTOFF * abs(e4) and abs(qn) < SERIES_CUTOFF * abs(prod):
+            break
+    return e4**3 / (q * prod**24)
 
 
 def _past_range(grow: float, factor: float, theta: float) -> float:

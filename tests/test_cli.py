@@ -2,7 +2,10 @@ import json
 import subprocess
 import sys
 
-from cmparity.cli import main
+import pytest
+
+from cmparity import InternalCheckError
+from cmparity.cli import build_parser, main
 
 
 def run_cli(capsys, *argv):
@@ -254,3 +257,60 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert "parity=odd" in proc.stdout
+
+
+DENSITY_ARGV = {
+    "even": ["density", "--mode", "even", "--base", "1,0,1"],
+    "odd": ["density", "--mode", "odd", "--base", "1,-1,1"],
+    "complex": ["density", "--mode", "complex", "--base", "1,-1,1", "--draws", "50"],
+}
+
+
+@pytest.mark.parametrize("mode", sorted(DENSITY_ARGV))
+@pytest.mark.parametrize(
+    "width, expected",
+    [
+        ("1e-320", 0),  # subnormal: every nonzero quotient overflows and gets no bin
+        ("5e-324", 0),
+        ("inf", 0),
+        ("nan", 2),
+        ("0", 2),
+        ("-0.0", 2),
+        ("-1", 2),
+        ("-inf", 2),
+    ],
+)
+def test_density_bin_width_exits_0_or_2(capsys, mode, width, expected):
+    code, out, err = run_cli(capsys, *DENSITY_ARGV[mode], f"--bin-width={width}", "--out", "-")
+    assert code == expected, err
+    assert "Traceback" not in err and "internal error" not in err
+    if expected == 2:
+        assert "bin width must be positive" in err
+    else:
+        assert "samples=" in out
+
+
+def test_density_subnormal_bin_width_in_a_fresh_process():
+    proc = subprocess.run(
+        [sys.executable, "-m", "cmparity", *DENSITY_ARGV["even"], "--bin-width", "1e-320"],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "Traceback" not in proc.stderr
+    # j = 1728 at i and every other value overflow the quotient
+    assert "bins_hit=0" in proc.stdout
+
+
+# main turns an InternalCheckError into exit 1, so this calls the subcommand's
+# handler, which main wraps, to show the fault itself.
+@pytest.mark.xfail(
+    strict=True,
+    raises=InternalCheckError,
+    reason="numeric real-j check disagrees with the form criterion next to rho",
+)
+def test_classify_next_to_rho_is_not_real(capsys):
+    args = build_parser().parse_args(["classify", "--tau", "1000000,999999,1000001"])
+    assert args.handler(args) == 0
+    assert "real_j=false" in capsys.readouterr().out

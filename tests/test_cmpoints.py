@@ -12,6 +12,7 @@ from cmparity import (
     NotADivisorError,
     Parity,
     QuadElement,
+    SquarefreeInt,
     TauExact,
     halfint_membership,
     is_maximal_halfint,
@@ -26,11 +27,17 @@ from cmparity import (
     tau_from_beta,
     tau_from_element,
 )
-from cmparity.cmpoints import halfint_element
+from cmparity.factorint import squarefree_decompose
 
 from conftest import random_tau
 
 ORACLE_SEED = 20240815
+
+
+def halfint_element(D: int) -> QuadElement:
+    """(1 + sqrt(D))/2 as an exact element, D < 0 and D = 1 (mod 4)."""
+    m, d = squarefree_decompose(D)
+    return QuadElement(Fraction(1, 2), Fraction(m, 2), SquarefreeInt(d, part_of=D))
 
 
 def test_tau_normalization():

@@ -30,6 +30,7 @@ from cmparity import (
 from cmparity.density import (
     DensityConfig,
     Mode,
+    SamplePoint,
     _draw_matrix,
     sample_complex,
     sample_even,
@@ -288,6 +289,8 @@ PINNED_SHA256 = {
     "complex-42-1000-json": "d488900e4ddde690cb47a5ed52dd165ca26561cb1f0d677c18422ab1485ea245",
     "complex-1,0,1-7-2000-csv": "2857cb2498406a51a511f5de5082dae387c48ba1b37851a88a573991ca54f90b",
     "complex-5,-3,7-1378860992-1000-json": "0d3ee9543d00442e6740e2150dcc6bd944eadb29b93fb88af69daab61f0cba9c",
+    # the benchmark's odd family: its 28,454 rows, 23,016 distinct points
+    "odd-399-csv": "36b344443ab9870f282ef9d2dff730963eab8156c0abc40915683d46b993a07b",
 }
 
 
@@ -309,6 +312,7 @@ def test_reports_match_pinned_bytes():
             ),
             "json",
         ),
+        "odd-399-csv": emit(sample_odd(odd_cfg(399)), "csv"),
     }
     for name, payload in reports.items():
         assert hashlib.sha256(payload).hexdigest() == PINNED_SHA256[name], name
@@ -494,3 +498,30 @@ def test_config_validation():
         DensityConfig(mode=Mode.COMPLEX, base=BASE_ODD, draws=-1)
     with pytest.raises(ValueError):
         sample_odd(DensityConfig(mode=Mode.COMPLEX, base=BASE_ODD))
+
+
+def test_bin_width_must_be_a_positive_number():
+    for width in (math.nan, 0.0, -0.0, -math.inf):
+        with pytest.raises(ValueError, match="bin width must be positive"):
+            DensityConfig(mode=Mode.ODD_REAL, base=BASE_ODD, bin_width=width)
+
+
+def test_non_finite_bin_quotients_get_no_bin():
+    # over a subnormal width every nonzero quotient overflows; 0 keeps its bin
+    rows = [
+        SamplePoint("a", complex(0.0, 0.0), None, Parity.ODD, None),
+        SamplePoint("b", complex(-1500.0, 3.0), None, Parity.ODD, None),
+    ]
+    for mode in (Mode.ODD_REAL, Mode.COMPLEX):
+        report = density._build_report(mode, rows, 1e-320, None, None)
+        assert report.bins_hit == 1
+        assert (report.min_j, report.max_j) == (-1500.0, 0.0)
+
+
+def test_sample_point_is_immutable():
+    point = sample_odd(odd_cfg(9)).samples[0]
+    assert isinstance(point, SamplePoint)
+    assert SamplePoint._fields == ("label", "j", "branch", "parity", "degree")
+    for field in SamplePoint._fields:
+        with pytest.raises(AttributeError):
+            setattr(point, field, None)
