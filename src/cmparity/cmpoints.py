@@ -5,8 +5,9 @@ a*tau**2 + b*tau + c = 0, a > 0 and b**2 - 4ac < 0; tau denotes the root
 (-b + sqrt(b**2 - 4ac))/(2a) with positive imaginary part. The lattice
 Z*tau + Z has a multiplier ring {u : u*L in L}, an order in Q(tau), and the
 module computes it two independent ways: straight from the triple's
-discriminant, and by solving the integrality conditions on the generator
-images exactly over the rationals. The two routes cross-validate each other.
+discriminant, and from the covolume of the lattice dual to the integrality
+conditions on the generator images, whose coordinates Lattice.coords solves
+exactly over the rationals. The two routes cross-validate each other.
 """
 
 from __future__ import annotations
@@ -94,6 +95,13 @@ class Lattice:
     @property
     def d(self) -> SquarefreeInt:
         return self.g1.d
+
+    def coords(self, w: QuadElement) -> tuple[Fraction, Fraction]:
+        """The rational (s, t) with w = s*g1 + t*g2."""
+        self.g1._require_same_field(w)
+        (x1, y1), (x2, y2) = (self.g1.x, self.g1.y), (self.g2.x, self.g2.y)
+        det = x1 * y2 - y1 * x2
+        return (w.x * y2 - w.y * x2) / det, (x1 * w.y - y1 * w.x) / det
 
 
 @dataclass(frozen=True, init=False, slots=True)
@@ -239,123 +247,34 @@ def order_contains(o: QuadOrder, u: QuadElement) -> bool:
 def multiplier_ring(lat: Lattice) -> QuadOrder:
     """The ring {u in Q(sqrt(d)) : u*L in L}, solved exactly.
 
-    Writing u = x + y*sqrt(d), the images u*g1 and u*g2 expressed in the basis
-    (g1, g2) have coordinates that are rational-linear in (x, y); membership
-    demands all four coordinates integral. The four conditions are solved by
-    diagonalizing the stacked integer system with unimodular transforms, which
-    yields a basis of the solution lattice, and the ring's discriminant falls
-    out of that basis. Entirely independent of the triple-discriminant route
-    in order_of_tau, so the two can check each other.
+    Writing u = x + y*sqrt(d), u*gi = x*gi + y*sqrt(d)*gi, so Lattice.coords
+    gives the coordinates of u*g1 and u*g2 as four rational rows r with
+    r.(x, y) required integral: the multipliers are the lattice dual to the
+    Z-span R of the rows, of covolume 1/covol(R). Scaled to integers by q, the
+    rows span a lattice of covolume g, the gcd of their six 2x2 minors (the
+    product of the Smith invariants; Cohen, A Course in Computational Algebraic
+    Number Theory, 2.4), so disc = 4*d*(q^2/g)^2. Entirely
+    independent of the triple-discriminant route in order_of_tau, so the two
+    can check each other.
     """
     if lat.d.value >= 0:
         raise ValueError("multiplier rings are computed for imaginary fields only")
-    dv = lat.d.value
-    x1, y1 = lat.g1.x, lat.g1.y
-    x2, y2 = lat.g2.x, lat.g2.y
-    detb = x1 * y2 - y1 * x2
-    if detb == 0:
-        raise DegenerateLatticeError("generators are Q-linearly dependent")
-
-    # coords of u*gi in (g1, g2): Mi = B^-1 Ci, B columns = generator coords
-    def binv_times(c11, c12, c21, c22):
-        return (
-            (y2 * c11 - x2 * c21) / detb,
-            (y2 * c12 - x2 * c22) / detb,
-            (-y1 * c11 + x1 * c21) / detb,
-            (-y1 * c12 + x1 * c22) / detb,
-        )
-
     rows = []
-    for xg, yg in ((x1, y1), (x2, y2)):
-        m11, m12, m21, m22 = binv_times(xg, yg * dv, yg, xg)
-        rows.append((m11, m12))
-        rows.append((m21, m22))
-
-    q = 1
-    for r1, r2 in rows:
-        q = math.lcm(q, r1.denominator, r2.denominator)
-    int_rows = [[int(r1 * q), int(r2 * q)] for r1, r2 in rows]
-
-    diag, col_ops = _diagonalize_columns(int_rows)
-    # solutions v with A*v in q*Z^4: v = col_ops @ diag(q/d1, q/d2) @ Z^2
-    basis = []
-    for k in (0, 1):
-        scale = Fraction(q, diag[k])
-        basis.append((col_ops[0][k] * scale, col_ops[1][k] * scale))
-
-    (v1x, v1y), (v2x, v2y) = basis
-    det_w = v1x * v2y - v1y * v2x
-    if det_w == 0:
-        raise InternalCheckError("solution lattice degenerated")
-    # 1 must be a multiplier; solve (1, 0) = s*v1 + t*v2 and demand integers
-    s = v2y / det_w
-    t = -v1y / det_w
-    if s.denominator != 1 or t.denominator != 1:
+    for g in (lat.g1, lat.g2):
+        root_d_g = QuadElement(g.y * lat.d.value, g.x, lat.d)
+        rows.extend(zip(lat.coords(g), lat.coords(root_d_g)))
+    # 1 must be a multiplier: (1, 0) pairs with each row to its first entry
+    if any(r1.denominator != 1 for r1, _ in rows):
         raise InternalCheckError("multiplier ring does not contain 1")
-    disc = 4 * det_w * det_w * dv
-    if disc.denominator != 1:
-        raise InternalCheckError("multiplier-ring discriminant must be an integer")
-    return order_from_discriminant(int(disc))
-
-
-def _diagonalize_columns(a: list[list[int]]) -> tuple[list[int], list[list[int]]]:
-    """Bring an integer matrix with 2 independent columns to the shape where
-    row 0 is (d1, 0) and column 0 vanishes below row 0, using unimodular
-    row/column operations. Returns (d1, d2) with d2 the gcd of the surviving
-    second column, plus the accumulated 2x2 column transform C.
-
-    If the original matrix is A and q > 0, the lattice {v : A v in q*Z^m} is
-    then C * ((q/d1)*Z x (q/d2)*Z).
-    """
-    a = [row[:] for row in a]
-    m = len(a)
-    c = [[1, 0], [0, 1]]
-
-    def col_swap():
-        for row in a:
-            row[0], row[1] = row[1], row[0]
-        for row in c:
-            row[0], row[1] = row[1], row[0]
-
-    def col_addmul(t):  # col1 += t * col0
-        for row in a:
-            row[1] += t * row[0]
-        for row in c:
-            row[1] += t * row[0]
-
-    while True:
-        piv = None
-        for i in range(m):
-            for j in range(2):
-                if a[i][j] and (piv is None or abs(a[i][j]) < abs(a[piv[0]][piv[1]])):
-                    piv = (i, j)
-        if piv is None:
-            raise DegenerateLatticeError("system has rank < 2")
-        i, j = piv
-        if j == 1:
-            col_swap()
-        if i != 0:
-            a[0], a[i] = a[i], a[0]
-        p = a[0][0]
-        clean = True
-        for i in range(1, m):
-            t = a[i][0] // p
-            if t:
-                a[i][0] -= t * p
-                a[i][1] -= t * a[0][1]
-            if a[i][0]:
-                clean = False
-        t = a[0][1] // p
-        if t:
-            col_addmul(-t)
-        if a[0][1]:
-            clean = False
-        if clean:
-            break
-    d1 = abs(a[0][0])
-    d2 = 0
-    for i in range(1, m):
-        d2 = math.gcd(d2, a[i][1])
-    if d2 == 0:
+    q = math.lcm(*(r2.denominator for _, r2 in rows))
+    int_rows = [(int(r1) * q, int(r2 * q)) for r1, r2 in rows]
+    g = 0
+    for i, (a1, a2) in enumerate(int_rows):
+        for b1, b2 in int_rows[i + 1 :]:
+            g = math.gcd(g, a1 * b2 - a2 * b1)
+    if g == 0:
         raise DegenerateLatticeError("system has rank < 2")
-    return [d1, d2], c
+    disc, rem = divmod(4 * q**4 * lat.d.value, g * g)
+    if rem:
+        raise InternalCheckError("multiplier-ring discriminant must be an integer")
+    return order_from_discriminant(disc)

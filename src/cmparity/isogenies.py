@@ -13,9 +13,8 @@ checks the moved triple by substituting (A*tau + B)/(C*tau + D) into its form.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
 
 from .cmpoints import Lattice, QuadElement, TauExact, parity_of_tau
 from .errors import InternalCheckError, NotASublatticeError, NotInGroupError
@@ -34,28 +33,29 @@ def _reduced(entry) -> tuple[int, int]:
     return p // g, q // g
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, slots=True)
 class RatMatrix2:
     """2x2 rational matrix ((a, b), (c, d)) of reduced (numerator, positive
-    denominator) pairs; the constructor also accepts ints and Fractions.
-    Odd-group conditions are enforced where odd-isogeny semantics need them."""
+    denominator) pairs; the constructor also accepts ints, Fractions and
+    strings. primitive is its primitive integer multiple (A, B, C, D): the
+    entries scaled by the lcm of the denominators, with their gcd divided out.
+    Each field is set once. Odd-group conditions are enforced where
+    odd-isogeny semantics need them."""
 
     a: tuple[int, int]
     b: tuple[int, int]
     c: tuple[int, int]
     d: tuple[int, int]
+    primitive: tuple[int, int, int, int] = field(repr=False, compare=False)
 
-    def __post_init__(self):
-        for name in ("a", "b", "c", "d"):
-            object.__setattr__(self, name, _reduced(getattr(self, name)))
-
-    @classmethod
-    def identity(cls) -> "RatMatrix2":
-        return cls(1, 0, 0, 1)
-
-    @classmethod
-    def from_ints(cls, a: int, b: int, c: int, d: int) -> "RatMatrix2":
-        return cls(a, b, c, d)
+    def __init__(self, a, b, c, d):
+        pairs = (_reduced(a), _reduced(b), _reduced(c), _reduced(d))
+        n = math.lcm(*(q for _, q in pairs))
+        scaled = [p * (n // q) for p, q in pairs]
+        g = math.gcd(*scaled) or 1
+        for name, pair in zip("abcd", pairs):
+            object.__setattr__(self, name, pair)
+        object.__setattr__(self, "primitive", tuple(v // g for v in scaled))
 
     @property
     def det(self) -> Fraction:
@@ -69,15 +69,6 @@ class RatMatrix2:
 
     def entries(self) -> tuple[Fraction, Fraction, Fraction, Fraction]:
         return tuple(Fraction(p, q) for p, q in (self.a, self.b, self.c, self.d))
-
-    @cached_property
-    def primitive(self) -> tuple[int, int, int, int]:
-        """The primitive integer multiple (A, B, C, D): the entries scaled by the
-        lcm of the denominators, with their gcd divided out."""
-        n = math.lcm(self.a[1], self.b[1], self.c[1], self.d[1])
-        scaled = [p * (n // q) for p, q in (self.a, self.b, self.c, self.d)]
-        g = math.gcd(*scaled) or 1
-        return tuple(v // g for v in scaled)
 
 
 def _odd_scaled_det(a, b, c, d) -> int | None:
@@ -125,12 +116,12 @@ class Isogeny:
     """Multiplication by u = C*tau + D from [tau', 1] into [tau, 1], where
     tau' = source_tau is (A*tau + B)/(C*tau + D) for tau = target_tau and the
     integer matrix (A, B, C, D). As u*tau' = A*tau + B, the degree is the index
-    AD - BC of u*[tau', 1] in [tau, 1]; construction checks both facts."""
+    AD - BC of u*[tau', 1] in [tau, 1]; construction checks that tau' is the
+    image and that the degree is positive."""
 
     matrix: tuple[int, int, int, int]
     source_tau: TauExact
     target_tau: TauExact
-    degree: int
 
     def __post_init__(self):
         A, B, C, D = self.matrix
@@ -142,8 +133,13 @@ class Isogeny:
         e0 = s.a * B * B + s.b * B * D + s.c * D * D
         if e2 == 0 or e2 * t.b != e1 * t.a or e2 * t.c != e0 * t.a:
             raise InternalCheckError(f"{s} is not the image of {t} under {self.matrix}")
-        if not 0 < self.degree == A * D - B * C:
-            raise InternalCheckError(f"declared degree {self.degree} is not {A * D - B * C}")
+        if self.degree <= 0:
+            raise InternalCheckError(f"degree {self.degree} of {self.matrix} is not positive")
+
+    @property
+    def degree(self) -> int:
+        A, B, C, D = self.matrix
+        return A * D - B * C
 
     @property
     def u(self) -> QuadElement:
@@ -177,14 +173,9 @@ def lattice_index(u: QuadElement, lat1: Lattice, lat2: Lattice) -> int:
         raise ValueError("multiplier must be nonzero")
     if lat1.d != lat2.d:
         raise NotASublatticeError("lattices lie in different fields")
-    x1, y1 = lat2.g1.x, lat2.g1.y
-    x2, y2 = lat2.g2.x, lat2.g2.y
-    detb = x1 * y2 - y1 * x2
     coeffs = []
     for g in (lat1.g1, lat1.g2):
-        w = u * g
-        alpha = (w.x * y2 - w.y * x2) / detb
-        beta = (-w.x * y1 + w.y * x1) / detb
+        alpha, beta = lat2.coords(u * g)
         if alpha.denominator != 1 or beta.denominator != 1:
             raise NotASublatticeError(
                 f"{u} * {g} is not an integral combination of the target basis"
@@ -204,11 +195,10 @@ def odd_isogeny(m: RatMatrix2, t: TauExact) -> Isogeny:
     minimal among all isogenies between the two lattices.
     """
     require_odd_group(m)
-    A, B, C, D = m.primitive
-    degree = A * D - B * C
-    if degree <= 0 or degree % 2 == 0:
-        raise InternalCheckError(f"constructed degree {degree} is not odd positive")
-    return Isogeny((A, B, C, D), moebius(m, t), t, degree)
+    iso = Isogeny(m.primitive, moebius(m, t), t)
+    if iso.degree % 2 == 0:
+        raise InternalCheckError(f"constructed degree {iso.degree} is not odd")
+    return iso
 
 
 def parity_transport_check(m: RatMatrix2, t: TauExact) -> bool:

@@ -160,6 +160,9 @@ def _j_cusp_asymptotic(z: complex) -> complex:
     try:
         mag = math.exp(grow)
     except OverflowError:
+        mag = math.inf
+    # exp(inf) is inf without an OverflowError, once 2*pi*Im z itself overflows
+    if mag == math.inf:
         return complex(_past_range(grow, cos_t, theta), _past_range(grow, sin_t, theta))
     return complex(mag * cos_t + 744.0, mag * sin_t)
 

@@ -39,11 +39,11 @@ def random_odd_matrix(
 
 def random_unimodular(rng: random.Random, steps: int = 8) -> RatMatrix2:
     """Random SL(2, Z) element as a word in translations and the inversion."""
-    m = RatMatrix2.from_ints(1, 0, 0, 1)
-    s = RatMatrix2.from_ints(0, -1, 1, 0)
+    m = RatMatrix2(1, 0, 0, 1)
+    s = RatMatrix2(0, -1, 1, 0)
     for _ in range(steps):
         k = rng.randint(-3, 3)
-        m = m @ RatMatrix2.from_ints(1, k, 0, 1)
+        m = m @ RatMatrix2(1, k, 0, 1)
         if rng.random() < 0.5:
             m = m @ s
     return m

@@ -182,6 +182,8 @@ def test_jvalue_commands(capsys):
     assert code == 0 and "j_re=1728" in out
     code, out, _ = run_cli(capsys, "jvalue", "--point", "0,1")
     assert code == 0 and "j_re=1728" in out
+    code, out, _ = run_cli(capsys, "jvalue", "--point", "0,1e308")  # 2*pi*Im z overflows
+    assert code == 0 and out == "j_re=inf j_im=0\n"
     code, _, err = run_cli(capsys, "jvalue")
     assert code == 2
 

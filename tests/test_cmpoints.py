@@ -189,8 +189,22 @@ def test_multiplier_ring_oracle_equivalence_500_random():
         assert multiplier_ring(lattice_of_tau(t)) == order_of_tau(t), t
 
 
+def change_of_basis(lat: Lattice, rng: random.Random) -> Lattice:
+    """The same lattice on the basis (p*g1 + q*g2, r*g1 + s*g2), ps - qr = +-1."""
+    p, q, r, s = 1, 0, 0, 1
+    for _ in range(4):
+        k = rng.randint(-3, 3)
+        p, q, r, s = r, s, p + k * r, q + k * s  # determinant changes sign
+
+    def combo(m, n):
+        g1, g2 = lat.g1, lat.g2
+        return QuadElement(m * g1.x + n * g2.x, m * g1.y + n * g2.y, lat.d)
+
+    return Lattice(combo(p, q), combo(r, s))
+
+
 def test_multiplier_ring_on_scaled_lattices():
-    # scaling a lattice never changes its multiplier ring
+    # scaling a lattice or changing its basis never changes its multiplier ring
     rng = random.Random(ORACLE_SEED + 2)
     for _ in range(50):
         t = random_tau(rng, bound=40)
@@ -200,8 +214,50 @@ def test_multiplier_ring_on_scaled_lattices():
         )
         if scale.is_zero():
             continue
-        scaled = Lattice(lat.g1 * scale, lat.g2 * scale)
-        assert multiplier_ring(scaled) == multiplier_ring(lat)
+        scaled = change_of_basis(Lattice(lat.g1 * scale, lat.g2 * scale), rng)
+        assert multiplier_ring(scaled) == multiplier_ring(lat) == order_of_tau(t)
+
+
+def test_multiplier_ring_conductor_brute_force():
+    # the least f >= 1 with f*w*L inside L, for w the standard field generator
+    rng = random.Random(ORACLE_SEED + 3)
+    for _ in range(60):
+        lat = change_of_basis(lattice_of_tau(random_tau(rng, bound=12)), rng)
+        d = lat.d
+        wx, wy = (Fraction(1, 2), Fraction(1, 2)) if d.value % 4 == 1 else (0, 1)
+        f = 1
+        while True:
+            fw = QuadElement(f * wx, f * wy, d)
+            if all(
+                c.denominator == 1 for g in (lat.g1, lat.g2) for c in lat.coords(fw * g)
+            ):
+                break
+            f += 1
+        ring = multiplier_ring(lat)
+        assert (ring.d, ring.conductor) == (d, f), lat
+
+
+def test_lattice_coords_recombine():
+    rng = random.Random(ORACLE_SEED + 4)
+    d = squarefree(-7)
+
+    def element():
+        return QuadElement(
+            Fraction(rng.randint(-20, 20), rng.randint(1, 9)),
+            Fraction(rng.randint(-20, 20), rng.randint(1, 9)),
+            d,
+        )
+
+    for _ in range(100):
+        g1, g2, w = element(), element(), element()
+        if g1.x * g2.y == g1.y * g2.x:
+            continue
+        lat = Lattice(g1, g2)
+        s, t = lat.coords(w)
+        zero = Fraction(0)
+        assert QuadElement(s, zero, d) * g1 + QuadElement(t, zero, d) * g2 == w
+    with pytest.raises(ValueError):
+        lat.coords(QuadElement(Fraction(1), Fraction(1), squarefree(-1)))
 
 
 def test_key_formula_small_grid():

@@ -92,7 +92,7 @@ def test_odd_parity_transport_of_family_matrices():
     report = sample_odd(odd_cfg(7))
     for s in report.samples:
         m, n = (int(v) for v in s.label.split(","))
-        matrix = RatMatrix2.from_ints(m, (n - m) // 2, 0, n)
+        matrix = RatMatrix2(m, (n - m) // 2, 0, n)
         assert parity_transport_check(matrix, BASE_ODD)
         assert odd_isogeny(matrix, BASE_ODD).degree == s.degree
         moved = moebius(matrix, BASE_ODD)
@@ -193,13 +193,13 @@ def test_draw_matrix_matches_reference_sampler():
 
 def test_complex_builds_a_matrix_per_kept_draw_only(monkeypatch):
     built = []
-    post_init = RatMatrix2.__post_init__
+    init = RatMatrix2.__init__
 
-    def counted(self):
-        built.append(self)
-        post_init(self)
+    def counted(self, *entries):
+        built.append(entries)
+        init(self, *entries)
 
-    monkeypatch.setattr(RatMatrix2, "__post_init__", counted)
+    monkeypatch.setattr(RatMatrix2, "__init__", counted)
     sample_complex(DensityConfig(mode=Mode.COMPLEX, base=BASE_ODD, draws=300, seed=8))
     assert len(built) == 300
 

@@ -34,22 +34,22 @@ SEED = 77041
 
 def test_moebius_identity():
     rng = random.Random(SEED)
-    ident = RatMatrix2.identity()
+    ident = RatMatrix2(1, 0, 0, 1)
     for _ in range(20):
         t = random_tau(rng)
         assert moebius(ident, t) == t
 
 
 def test_moebius_examples():
-    assert moebius(RatMatrix2.from_ints(3, 0, 0, 5), TauExact(1, 0, 1)) == TauExact(25, 0, 9)
-    moved = moebius(RatMatrix2.from_ints(1, 1, 0, 1), TauExact(1, -1, 1))
+    assert moebius(RatMatrix2(3, 0, 0, 5), TauExact(1, 0, 1)) == TauExact(25, 0, 9)
+    moved = moebius(RatMatrix2(1, 1, 0, 1), TauExact(1, -1, 1))
     assert moved == TauExact(1, -3, 3)
     assert moved.disc == -3
 
 
 def test_moebius_requires_positive_determinant():
     with pytest.raises(ValueError):
-        moebius(RatMatrix2.from_ints(1, 0, 0, -1), TauExact(1, 0, 1))
+        moebius(RatMatrix2(1, 0, 0, -1), TauExact(1, 0, 1))
 
 
 def test_moebius_group_action():
@@ -72,9 +72,9 @@ def test_moebius_preserves_field():
 
 
 def test_odd_isogeny_examples():
-    iso = odd_isogeny(RatMatrix2.from_ints(3, 0, 0, 5), TauExact(1, 0, 1))
+    iso = odd_isogeny(RatMatrix2(3, 0, 0, 5), TauExact(1, 0, 1))
     assert iso.degree == 15
-    iso = odd_isogeny(RatMatrix2.from_ints(1, 1, 0, 3), TauExact(1, -1, 1))
+    iso = odd_isogeny(RatMatrix2(1, 1, 0, 3), TauExact(1, -1, 1))
     assert iso.degree == 3
     iso = odd_isogeny(
         RatMatrix2(Fraction(3, 5), Fraction(0), Fraction(0), Fraction(1)),
@@ -85,7 +85,7 @@ def test_odd_isogeny_examples():
 
 def test_odd_isogeny_gcd_division():
     # diag(3, 3) is multiplication by 1 after gcd division: degree 1
-    iso = odd_isogeny(RatMatrix2.from_ints(3, 0, 0, 3), TauExact(1, 0, 1))
+    iso = odd_isogeny(RatMatrix2(3, 0, 0, 3), TauExact(1, 0, 1))
     assert iso.degree == 1
 
 
@@ -106,18 +106,18 @@ def test_odd_isogeny_rejects_outsiders():
     with pytest.raises(NotInGroupError):
         odd_isogeny(RatMatrix2(Fraction(1, 2), 0, 0, 1), t)  # even denominator
     with pytest.raises(NotInGroupError):
-        odd_isogeny(RatMatrix2.from_ints(2, 0, 0, 1), t)  # even determinant
+        odd_isogeny(RatMatrix2(2, 0, 0, 1), t)  # even determinant
     with pytest.raises(NotInGroupError):
-        odd_isogeny(RatMatrix2.from_ints(-1, 0, 0, 1), t)  # negative determinant
+        odd_isogeny(RatMatrix2(-1, 0, 0, 1), t)  # negative determinant
     with pytest.raises(NotInGroupError):
-        odd_isogeny(RatMatrix2.from_ints(1, 1, 1, 1), t)  # singular
+        odd_isogeny(RatMatrix2(1, 1, 1, 1), t)  # singular
 
 
 def test_in_odd_group():
-    assert in_odd_group(RatMatrix2.from_ints(3, 0, 0, 5))
+    assert in_odd_group(RatMatrix2(3, 0, 0, 5))
     assert in_odd_group(RatMatrix2(Fraction(1, 3), 0, 0, Fraction(5, 7)))
     assert not in_odd_group(RatMatrix2(Fraction(1, 2), 0, 0, 1))
-    assert not in_odd_group(RatMatrix2.from_ints(1, 0, 0, 2))
+    assert not in_odd_group(RatMatrix2(1, 0, 0, 2))
 
 
 def test_lattice_index_examples():
@@ -144,16 +144,14 @@ def test_lattice_index_errors():
 
 def test_isogeny_degree_validated_at_construction():
     base, moved = TauExact(1, 0, 1), TauExact(25, 0, 9)  # diag(3, 5) takes i to 3i/5
-    iso = Isogeny((3, 0, 0, 5), moved, base, 15)
+    iso = Isogeny((3, 0, 0, 5), moved, base)
     assert iso.u == QuadElement(Fraction(5), Fraction(0), squarefree(-1))
+    assert iso.degree == 15
+    assert Isogeny((2, 0, 0, 2), base, base).degree == 4  # multiplication by 2
     with pytest.raises(InternalCheckError):
-        Isogeny((3, 0, 0, 5), moved, base, 3)  # wrong degree
+        Isogeny((3, 0, 0, 5), TauExact(9, 0, 25), base)  # 5i/3, not the image
     with pytest.raises(InternalCheckError):
-        Isogeny((2, 0, 0, 2), base, base, 3)  # multiplication by 2 has degree 4
-    with pytest.raises(InternalCheckError):
-        Isogeny((3, 0, 0, 5), TauExact(9, 0, 25), base, 15)  # 5i/3, not the image
-    with pytest.raises(InternalCheckError):
-        Isogeny((-3, 0, 0, 5), moved, base, 15)  # determinant -15: the form fits, the degree does not
+        Isogeny((-3, 0, 0, 5), moved, base)  # determinant -15: the form fits, the degree does not
 
 
 def field_moebius(m: RatMatrix2, t: TauExact) -> TauExact:
@@ -240,9 +238,9 @@ def test_odd_isogeny_rejects_tampered_moebius(monkeypatch):
 
 
 def test_parity_transport_examples():
-    assert parity_transport_check(RatMatrix2.from_ints(3, 0, 0, 5), TauExact(1, 0, 1))
-    assert parity_transport_check(RatMatrix2.from_ints(1, 1, 0, 3), TauExact(1, -1, 1))
-    assert parity_transport_check(RatMatrix2.identity(), TauExact(1, -1, 2))
+    assert parity_transport_check(RatMatrix2(3, 0, 0, 5), TauExact(1, 0, 1))
+    assert parity_transport_check(RatMatrix2(1, 1, 0, 3), TauExact(1, -1, 1))
+    assert parity_transport_check(RatMatrix2(1, 0, 0, 1), TauExact(1, -1, 2))
 
 
 def test_parity_transport_random_sample():
@@ -254,8 +252,23 @@ def test_parity_transport_random_sample():
         assert parity_transport_check(m, t)
 
 
+def test_ratmatrix_construction_reduces_once():
+    forms = [
+        RatMatrix2(Fraction(3, 5), 0, 0, 1),
+        RatMatrix2("3/5", "0", "0", "1"),
+        RatMatrix2((6, 10), (0, 1), (0, 7), (1, 1)),
+    ]
+    for m in forms:
+        assert m == forms[0] and hash(m) == hash(forms[0])
+        assert (m.a, m.b, m.c, m.d) == ((3, 5), (0, 1), (0, 1), (1, 1))
+        assert m.primitive == (3, 0, 0, 5)
+    for name in ("a", "primitive"):
+        with pytest.raises(AttributeError):
+            setattr(forms[0], name, (1, 1))
+
+
 def test_matmul_and_identity():
-    m = RatMatrix2.from_ints(2, 1, 1, 1)
-    assert m @ RatMatrix2.identity() == m
+    m = RatMatrix2(2, 1, 1, 1)
+    assert m @ RatMatrix2(1, 0, 0, 1) == m
     sq = m @ m
-    assert sq == RatMatrix2.from_ints(5, 3, 3, 2)
+    assert sq == RatMatrix2(5, 3, 3, 2)

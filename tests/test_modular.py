@@ -73,7 +73,7 @@ def test_j_of_tau_integer_values_are_real():
         j = j_of_tau(tau)
         assert j.imag == 0.0, disc
         assert abs(j.real - expected) <= 1e-9 * max(1, abs(expected)), disc
-        moved = moebius(RatMatrix2.from_ints(0, -1, 1, 3), tau)
+        moved = moebius(RatMatrix2(0, -1, 1, 3), tau)
         assert moved != tau and j_of_tau(moved) == j, disc
 
 
@@ -104,6 +104,12 @@ def test_j_deep_cusp_overflow():
     j = j_numeric(complex(0.2, grow / (2 * math.pi)))
     assert j.real == pytest.approx(math.exp(grow + math.log(cos_t)), rel=1e-12)
     assert j.imag == -math.inf
+    # once 2*pi*Im z is itself infinite, the same signed infinities and zeros
+    # as at the finite heights 1e306 and 300
+    for re_z, expected in ((0.0, (math.inf, 0.0)), (0.5, (-math.inf, 0.0)), (0.25, (0.0, -math.inf))):
+        for im_z in (1e308, 1e306, 300.0):
+            j = j_numeric(complex(re_z, im_z))
+            assert (j.real, j.imag) == expected, (re_z, im_z)
 
 
 def test_reduce_fundamental_examples():
@@ -126,7 +132,7 @@ def test_reduce_fundamental_matrix_transports_point():
         assert p * s - q * r == 1
         assert abs(reduced.b) <= reduced.a <= reduced.c
         assert reduced.disc == t.disc
-        assert moebius(RatMatrix2.from_ints(p, q, r, s), t) == reduced
+        assert moebius(RatMatrix2(p, q, r, s), t) == reduced
 
 
 def test_is_real_j_examples():
