@@ -1,3 +1,6 @@
+import contextlib
+import hashlib
+import io
 import json
 import subprocess
 import sys
@@ -316,3 +319,85 @@ def test_classify_next_to_rho_is_not_real(capsys):
     args = build_parser().parse_args(["classify", "--tau", "1000000,999999,1000001"])
     assert args.handler(args) == 0
     assert "real_j=false" in capsys.readouterr().out
+
+
+def _corpus() -> list[list[str]]:
+    """A fixed argv list over all six commands, in text and --json (density:
+    CSV and JSON payloads), with usage and validation errors."""
+    triples = [f"{a},{b},{c}" for a in range(1, 5) for b in range(-4, 5) for c in range(1, 5)]
+    triples += [
+        "35,-105,98", "47,-47,542", "1,0,1000000", "1,-1,1000000", "2,1,1000000",
+        "10000019,1,20000000001", "57283960024952,-37747546504261,6218482741376",
+        "1,5,1", "1,2", "a,b,c", "0,1,1", "1,0,0",
+    ]
+    record_argv = [["classify", "--tau", t] for t in triples]
+    record_argv += [
+        ["order", "--squarefree", str(d), "--conductor", str(f)]
+        for d in (-1, -2, -3, -5, -7, -15, 2, 3, 5, 0, 1, 4, -12)
+        for f in (1, 2, 3, 4, 8, 0, -1)
+    ]
+    record_argv += [
+        ["enumerate", "--disc", str(disc)]
+        for disc in (
+            -3, -7, -11, -15, -23, -35, -39, -1155, -255255, -1000036000099,
+            -999999999999999967, -4, 5, -1, 0, -9, -27, -75,
+        )
+    ]
+    record_argv += [
+        ["isogeny", "--matrix", m, "--tau", t]
+        for m in (
+            "3/5,0,0,1", "1,0,0,1", "1,1,0,1", "3,1,1,1", "1/3,2/5,1,7", "-1,0,0,1",
+            "1/0,0,0,1", "1,1,1,1", "1/2,0,0,1", "2,0,0,1", "1,2,3", "x,0,0,1",
+        )
+        for t in ("1,0,1", "1,-1,1", "2,1,3", "1,5,1")
+    ]
+    record_argv += [["jvalue", "--tau", t] for t in ("1,0,1", "1,-1,1", "3,5,7", "47,-47,542", "1,2")]
+    record_argv += [
+        ["jvalue", "--point", p]
+        for p in (
+            "0,1", "0.5,0.8660254037844386", "0.1,2", "0,1e308", "0.5,1e308",
+            "0.25,1e308", "0,300", "0,0", "0,-1", "1,2,3", "abc,1",
+        )
+    ]
+    record_argv += [["jvalue"], ["jvalue", "--tau", "1,0,1", "--point", "0,1"]]
+    corpus = record_argv + [[*argv, "--json"] for argv in record_argv]
+    density_argv = [
+        ["density", "--mode", "odd", "--base", "1,-1,1", "--max-denominator", "5"],
+        ["density", "--mode", "odd", "--base", "3,-3,5", "--max-denominator", "3"],
+        ["density", "--mode", "even", "--base", "1,0,1", "--max-denominator", "4"],
+        ["density", "--mode", "even", "--base", "1,0,3", "--max-denominator", "3"],
+        ["density", "--mode", "complex", "--base", "1,-1,1", "--draws", "12", "--seed", "3"],
+        ["density", "--mode", "complex", "--base", "1,0,1", "--draws", "0"],
+        ["density", "--mode", "odd", "--base", "1,0,1"],
+        ["density", "--mode", "even", "--base", "1,-1,1"],
+        ["density", "--mode", "odd", "--base", "1,-1,1", "--bin-width", "0"],
+        ["density", "--mode", "even", "--base", "1,0,1", "--bin-width", "1e-320"],
+        ["density", "--mode", "odd", "--base", "1,-1,1", "--max-denominator", "0"],
+        ["density", "--mode", "complex", "--base", "1,-1,1", "--draws", "-1"],
+    ]
+    corpus += [[*argv, "--format", fmt] for argv in density_argv for fmt in ("csv", "json")]
+    corpus += [
+        ["density", "--mode", "odd", "--base", "1,-1,1", "--out", "no-such-dir/out.csv"],
+        [], ["classify"], ["classify", "--tau", "1,0,1", "--bogus"], ["nosuch"],
+    ]
+    return corpus
+
+
+def test_every_command_output_pinned(monkeypatch, tmp_path):
+    # one sha256 over (argv, exit code, stdout bytes, stderr) of the corpus,
+    # taken before handlers returned their records to main's one printer
+    monkeypatch.chdir(tmp_path)
+    digest = hashlib.sha256()
+    for argv in _corpus():
+        out = io.TextIOWrapper(io.BytesIO(), encoding="utf-8", newline="\n", write_through=True)
+        err = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse's usage errors
+                code = exc.code
+        digest.update(json.dumps([argv, code]).encode() + b"\0")
+        digest.update(out.buffer.getvalue() + b"\0" + err.getvalue().encode() + b"\0")
+    assert digest.hexdigest() == (
+        "21d281374f4efa218a810a3579c6f5ba58f25ec1888e90e4ceb786cd77ce7061"
+    )
