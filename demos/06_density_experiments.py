@@ -7,13 +7,13 @@ are deterministic and serialize to CSV or JSON.
 """
 
 from cmparity import TauExact, emit
-from cmparity.density import DensityConfig, Mode, sample_complex, sample_even, sample_odd
+from cmparity.density import DensityConfig, sample_complex, sample_even, sample_odd
 
 odd_base = TauExact(1, -1, 1)  # j = 0, parity odd
 
 print("== odd mode: refinement toward 1728 from below ==")
 for bound in (9, 99, 999):
-    cov = sample_odd(DensityConfig(mode=Mode.ODD_REAL, base=odd_base, denom_bound=bound))
+    cov = sample_odd(DensityConfig(base=odd_base, denom_bound=bound))
     print(
         f"  N={bound:>3}: {len(cov.samples):>6} samples, "
         f"max_j = {cov.max_j:.10f} (gap to 1728: {1728 - cov.max_j:.3e}), "
@@ -23,7 +23,7 @@ for bound in (9, 99, 999):
 print()
 print("== even mode: both sides of 1728 ==")
 for base in (TauExact(1, 0, 1), TauExact(1, 0, 3)):
-    cov = sample_even(DensityConfig(mode=Mode.EVEN_REAL, base=base, denom_bound=9))
+    cov = sample_even(DensityConfig(base=base, denom_bound=9))
     above = sum(1 for s in cov.samples if s.j.real >= 1728)
     below = len(cov.samples) - above
     print(
@@ -34,7 +34,7 @@ for base in (TauExact(1, 0, 1), TauExact(1, 0, 3)):
 print()
 print("== complex mode: seeded scatter ==")
 cov = sample_complex(
-    DensityConfig(mode=Mode.COMPLEX, base=odd_base, draws=2000, seed=42, bin_width=100.0)
+    DensityConfig(base=odd_base, draws=2000, seed=42, bin_width=100.0)
 )
 print(
     f"  2000 draws (seed 42): {cov.bins_hit} bins of width {cov.bin_width} hit "
@@ -43,6 +43,6 @@ print(
 
 print()
 print("== first rows of the odd-mode CSV ==")
-cov = sample_odd(DensityConfig(mode=Mode.ODD_REAL, base=odd_base, denom_bound=5))
+cov = sample_odd(DensityConfig(base=odd_base, denom_bound=5))
 for line in emit(cov, "csv").decode().strip().split("\n")[:6]:
     print("  " + line)

@@ -19,7 +19,6 @@ from .density import (
     CoverageReport,
     DensityConfig,
     Mode,
-    coverage_report_from_points,
     emit,
     sample_complex,
     sample_even,

@@ -4,6 +4,11 @@ Subcommands: classify, order, enumerate, isogeny, density, jvalue. Exit codes:
 0 on success, 2 on usage or validation errors, 1 on internal-assertion
 failures (which indicate a defect, not bad input). Identical invocations
 produce byte-identical output; randomized runs record their seed.
+
+Each handler returns (record, lines) and main alone prints them: the record
+as one JSON object under --json, otherwise each line, a list of (label,
+value) pairs, as space-joined label=value. density writes its CSV or JSON
+payload itself and returns no record, only its summary line.
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ import sys
 from .cmpoints import TauExact, order_of_tau, parity_of_tau
 from .density import (
     DensityConfig,
-    Mode,
+    _json_float,
     emit,
     fmt_float,
     sample_complex,
@@ -51,7 +56,7 @@ def _parse_matrix(text: str):
     return RatMatrix2(*parts)
 
 
-def _cmd_classify(args) -> int:
+def _cmd_classify(args) -> tuple[dict, list]:
     tau = _parse_triple(args.tau)
     order = order_of_tau(tau)
     par = parity_of_tau(tau)
@@ -73,72 +78,46 @@ def _cmd_classify(args) -> int:
     }
     if real:
         record["branch"] = rep.branch
-        record["t"] = float(fmt_float(rep.t))
-    if args.json:
-        print(json.dumps(record))
-    else:
-        pieces = [
-            f"disc={record['disc']}",
-            f"d={record['d']}",
-            f"f={record['f']}",
-            f"parity={record['parity']}",
-            f"real_j={'true' if real else 'false'}",
-        ]
-        if real:
-            pieces += [f"branch={record['branch']}", f"t={fmt_float(record['t'])}"]
-        print(" ".join(pieces))
-    return 0
+        record["t"] = _json_float(rep.t)
+    return record, [list(record.items())[3:]]  # the text line leaves out the triple
 
 
-def _cmd_order(args) -> int:
+def _cmd_order(args) -> tuple[dict, list]:
     order = quad_order(args.squarefree, args.conductor)
-    disc = order_discriminant(order)
-    par = parity(order)
     canon = canonical_generator(order)
-    trace = trace_lattice(order)
     record = {
         "d": order.d.value,
         "f": order.conductor,
-        "disc": disc,
-        "parity": par.value,
-        "trace_lattice": "Z" if trace == 1 else "2Z",
+        "disc": order_discriminant(order),
+        "parity": parity(order).value,
+        "trace_lattice": "Z" if trace_lattice(order) == 1 else "2Z",
         "canonical_kind": canon.kind.value,
         "canonical_radicand": canon.radicand,
     }
-    if args.json:
-        print(json.dumps(record))
-    else:
-        print(
-            f"disc={disc} parity={par.value} trace={record['trace_lattice']} "
-            f"canonical={canon.kind.value}({canon.radicand})"
-        )
-    return 0
+    line = [
+        ("disc", record["disc"]),
+        ("parity", record["parity"]),
+        ("trace", record["trace_lattice"]),
+        ("canonical", f"{canon.kind.value}({canon.radicand})"),
+    ]
+    return record, [line]
 
 
-def _cmd_enumerate(args) -> int:
+def _cmd_enumerate(args) -> tuple[dict, list]:
     points = enumerate_real_odd_cm(args.disc)
     entries = [
-        {
-            "beta": p.beta,
-            "a": p.tau.a,
-            "b": p.tau.b,
-            "c": p.tau.c,
-            "j": float(fmt_float(p.j_estimate)),
-        }
+        {"beta": p.beta, "a": p.tau.a, "b": p.tau.b, "c": p.tau.c, "j": _json_float(p.j_estimate)}
         for p in points
     ]
-    if args.json:
-        print(json.dumps({"disc": args.disc, "count": len(entries), "entries": entries}))
-    else:
-        print(f"disc={args.disc} count={len(entries)} min_j_gap={fmt_float(min_j_gap(points))}")
-        for e in entries:
-            print(
-                f"beta={e['beta']} tau=({e['a']},{e['b']},{e['c']}) j={fmt_float(e['j'])}"
-            )
-    return 0
+    lines = [[("disc", args.disc), ("count", len(entries)), ("min_j_gap", min_j_gap(points))]]
+    lines += [
+        [("beta", e["beta"]), ("tau", f"({e['a']},{e['b']},{e['c']})"), ("j", e["j"])]
+        for e in entries
+    ]
+    return {"disc": args.disc, "count": len(entries), "entries": entries}, lines
 
 
-def _cmd_isogeny(args) -> int:
+def _cmd_isogeny(args) -> tuple[dict, list]:
     matrix = _parse_matrix(args.matrix)
     tau = _parse_triple(args.tau)
     iso = odd_isogeny(matrix, tau)
@@ -151,20 +130,18 @@ def _cmd_isogeny(args) -> int:
         "source_disc": moved.disc,
         "target_disc": tau.disc,
     }
-    if args.json:
-        print(json.dumps(record))
-    else:
-        print(
-            f"degree={iso.degree} u={iso.u} source={record['source']} "
-            f"target={record['target']}"
-        )
-    return 0
+    line = [
+        ("degree", record["degree"]),
+        ("u", record["multiplier"]),
+        ("source", record["source"]),
+        ("target", record["target"]),
+    ]
+    return record, [line]
 
 
-def _cmd_jvalue(args) -> int:
+def _cmd_jvalue(args) -> tuple[dict, list]:
     if (args.tau is None) == (args.point is None):
-        print("error: give exactly one of --tau or --point", file=sys.stderr)
-        return 2
+        raise ValueError("give exactly one of --tau or --point")
     if args.tau is not None:
         j = j_of_tau(_parse_triple(args.tau))
     else:
@@ -172,47 +149,37 @@ def _cmd_jvalue(args) -> int:
         if len(parts) != 2:
             raise ValueError("expected --point re,im")
         j = j_numeric(complex(float(parts[0]), float(parts[1])))
-    if args.json:
-        print(json.dumps({"re_j": float(fmt_float(j.real)), "im_j": float(fmt_float(j.imag))}))
-    else:
-        print(f"j_re={fmt_float(j.real)} j_im={fmt_float(j.imag)}")
-    return 0
+    record = {"re_j": _json_float(j.real), "im_j": _json_float(j.imag)}
+    return record, [[("j_re", j.real), ("j_im", j.imag)]]
 
 
-def _cmd_density(args) -> int:
-    mode = Mode(args.mode)
+def _cmd_density(args) -> tuple[None, list]:
     cfg = DensityConfig(
-        mode=mode,
         base=_parse_triple(args.base),
         denom_bound=args.max_denominator,
         bin_width=args.bin_width,
         seed=args.seed,
         draws=args.draws,
     )
-    runner = {
-        Mode.ODD_REAL: sample_odd,
-        Mode.EVEN_REAL: sample_even,
-        Mode.COMPLEX: sample_complex,
-    }[mode]
+    runner = {"odd": sample_odd, "even": sample_even, "complex": sample_complex}[args.mode]
     report = runner(cfg)
     payload = emit(report, args.format)
-    summary = (
-        f"samples={len(report.samples)} "
-        f"min_j={'n/a' if report.min_j is None else fmt_float(report.min_j)} "
-        f"max_j={'n/a' if report.max_j is None else fmt_float(report.max_j)} "
-        f"bins_hit={report.bins_hit} "
-        f"all_below_1728={'true' if report.all_below_1728 else 'false'}"
-    )
-    if mode is Mode.COMPLEX:
-        summary += f" seed={report.seed}"
+    summary = [
+        ("samples", len(report.samples)),
+        ("min_j", report.min_j),
+        ("max_j", report.max_j),
+        ("bins_hit", report.bins_hit),
+        ("all_below_1728", report.all_below_1728),
+    ]
+    if args.mode == "complex":
+        summary.append(("seed", report.seed))
     del report  # its samples need not outlive the payload's bytes
     if args.out == "-":
         sys.stdout.buffer.write(payload)
     else:
         with open(args.out, "wb") as handle:
             handle.write(payload)
-    print(summary)
-    return 0
+    return None, [summary]
 
 
 @functools.cache  # building it costs more than most commands do
@@ -262,22 +229,38 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bin-width", type=float, default=100.0)
     p.add_argument("--out", default="-", help="output path, or - for stdout")
     p.add_argument("--format", choices=["csv", "json"], default="csv")
-    p.set_defaults(handler=_cmd_density)
+    p.set_defaults(handler=_cmd_density, json=False)
 
     return parser
 
 
+def _text(value) -> str:
+    """One value as every text line prints it."""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float):
+        return fmt_float(value)
+    return "n/a" if value is None else str(value)
+
+
 def main(argv: list[str] | None = None) -> int:
+    """Run one command, print what its handler returns, give the exit code."""
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.handler(args)
+        record, lines = args.handler(args)
+        if args.json:
+            print(json.dumps(record))
+        else:
+            for line in lines:
+                print(" ".join(f"{label}={_text(value)}" for label, value in line))
     except InternalCheckError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 1
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    return 0
 
 
 if __name__ == "__main__":

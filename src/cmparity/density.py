@@ -45,7 +45,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .cmpoints import TauExact, parity_of_tau
-from .enumeration import CMClassPoint
 from .errors import BadBaseError, InternalCheckError
 from .factorint import squarefree_decompose
 from .isogenies import RatMatrix2, in_odd_group, in_odd_pairs, odd_isogeny
@@ -63,7 +62,6 @@ class Mode(enum.Enum):
 
 @dataclass(frozen=True)
 class DensityConfig:
-    mode: Mode
     base: TauExact
     denom_bound: int = 9
     bin_width: float = 100.0
@@ -182,8 +180,6 @@ def sample_odd(cfg: DensityConfig) -> CoverageReport:
     Every distinct member must be odd (checked once per reduced ratio m/n)
     and every j strictly below 1728.
     """
-    if cfg.mode is not Mode.ODD_REAL:
-        raise ValueError("config mode is not odd")
     base = cfg.base
     if base.b != -base.a:
         raise BadBaseError("odd mode needs a base with real part 1/2 (b = -a)")
@@ -209,7 +205,7 @@ def sample_odd(cfg: DensityConfig) -> CoverageReport:
         return SamplePoint(f"{m},{n}", j, "T2", odd, m * n // (g * g))
 
     samples = _family_samples(pairs, triple, odd, "", row)
-    report = _build_report(cfg.mode, samples, cfg.bin_width, n_max, None)
+    report = _build_report(Mode.ODD_REAL, samples, cfg.bin_width, n_max, None)
     if not report.all_below_1728:
         raise InternalCheckError("odd family produced a j at or above 1728")
     return report
@@ -223,8 +219,6 @@ def sample_even(cfg: DensityConfig) -> CoverageReport:
     odd when d = 1 (mod 4), where even shifts would change parity. Each
     distinct member is checked to be even once per reduced ratio m/n.
     """
-    if cfg.mode is not Mode.EVEN_REAL:
-        raise ValueError("config mode is not even")
     base = cfg.base
     if parity_of_tau(base) is not Parity.EVEN:
         raise BadBaseError("even mode needs an even base point")
@@ -254,7 +248,7 @@ def sample_even(cfg: DensityConfig) -> CoverageReport:
         "T2",
         sampler("T2"),
     )
-    return _build_report(cfg.mode, samples, cfg.bin_width, n_max, None)
+    return _build_report(Mode.EVEN_REAL, samples, cfg.bin_width, n_max, None)
 
 
 # Complex mode draws each entry as p/q with p uniform in [-DRAW_NUMERATOR_BOUND,
@@ -301,8 +295,6 @@ def sample_complex(cfg: DensityConfig) -> CoverageReport:
 
     Parity transport is asserted on every draw.
     """
-    if cfg.mode is not Mode.COMPLEX:
-        raise ValueError("config mode is not complex")
     base = cfg.base
     base_parity = parity_of_tau(base)
     rng = random.Random(cfg.seed)
@@ -327,27 +319,17 @@ def sample_complex(cfg: DensityConfig) -> CoverageReport:
         )
 
     samples = [evaluate(m) for m in matrices]
-    return _build_report(cfg.mode, samples, cfg.bin_width, None, cfg.seed)
-
-
-def coverage_report_from_points(points: list[CMClassPoint]) -> CoverageReport:
-    """Wrap an enumeration result so it can be emitted like any other report."""
-    samples = [
-        SamplePoint(
-            label=f"beta={p.beta}",
-            j=complex(p.j_estimate, 0.0),
-            branch="T2",
-            parity=Parity.ODD,
-            degree=None,
-        )
-        for p in points
-    ]
-    return _build_report(Mode.ODD_REAL, samples, 100.0, None, None)
+    return _build_report(Mode.COMPLEX, samples, cfg.bin_width, None, cfg.seed)
 
 
 def fmt_float(x: float) -> str:
     """A float at 12 significant digits, as every report and command prints it."""
     return format(x, ".12g")
+
+
+def _json_float(x: float) -> float:
+    """A float as JSON records carry it: the value fmt_float prints."""
+    return float(fmt_float(x))
 
 
 def _json_num(x: float | None):
@@ -357,7 +339,7 @@ def _json_num(x: float | None):
         return None
     if not math.isfinite(x):
         return fmt_float(x)
-    return float(fmt_float(x))
+    return _json_float(x)
 
 
 def emit(report: CoverageReport, fmt: str = "csv") -> bytes:
@@ -368,7 +350,6 @@ def emit(report: CoverageReport, fmt: str = "csv") -> bytes:
     is quoted when it holds a comma (the labels this module makes hold no
     quote or line break), and floats print at 12 significant digits.
     """
-    parity_text = {p: p.value for p in Parity}
     if fmt == "csv":
         rows = ["label,re_j,im_j,branch,parity,degree\n"]
         for label, j, branch, parity, degree in report.samples:
@@ -376,7 +357,7 @@ def emit(report: CoverageReport, fmt: str = "csv") -> bytes:
                 label = f'"{label}"'
             rows.append(
                 f"{label},{j.real:.12g},{j.imag:.12g},{branch or ''},"
-                f"{parity_text[parity]},{'' if degree is None else degree}\n"
+                f"{parity._value_},{'' if degree is None else degree}\n"
             )
         return "".join(rows).encode()
     if fmt == "json":
@@ -397,7 +378,7 @@ def emit(report: CoverageReport, fmt: str = "csv") -> bytes:
                     "re_j": _json_num(s.j.real),
                     "im_j": _json_num(s.j.imag),
                     "branch": s.branch,
-                    "parity": parity_text[s.parity],
+                    "parity": s.parity._value_,
                     "degree": s.degree,
                 }
                 for s in report.samples

@@ -35,7 +35,7 @@ from cmparity import (
     tau_from_beta,
     trace_lattice,
 )
-from cmparity.density import DensityConfig, Mode, sample_even, sample_odd
+from cmparity.density import DensityConfig, sample_even, sample_odd
 from cmparity.factorint import is_squarefree
 
 from conftest import random_odd_matrix, random_tau
@@ -212,7 +212,7 @@ def test_criterion_6_odd_density_bound(report):
     grace_ok = True
     for bound in (9, 99, 999):
         cov = sample_odd(
-            DensityConfig(mode=Mode.ODD_REAL, base=base, denom_bound=bound)
+            DensityConfig(base=base, denom_bound=bound)
         )
         strict_ok = strict_ok and all(s.j.real < 1728.0 for s in cov.samples)
         grace_ok = grace_ok and all(
@@ -235,7 +235,7 @@ def test_criterion_7_even_density_spread(report):
     details = []
     for base in (TauExact(1, 0, 1), TauExact(1, 0, 2), TauExact(1, 0, 3), TauExact(1, 0, 7)):
         cov = sample_even(
-            DensityConfig(mode=Mode.EVEN_REAL, base=base, denom_bound=9)
+            DensityConfig(base=base, denom_bound=9)
         )
         res = [s.j.real for s in cov.samples]
         has_high = any(r >= 1728.0 for r in res)

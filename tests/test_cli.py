@@ -7,8 +7,10 @@ import sys
 
 import pytest
 
-from cmparity import InternalCheckError
+from cmparity import InternalCheckError, Parity, cli, density, enumeration, modular
 from cmparity.cli import build_parser, main
+from cmparity.enumeration import saturated_divisors
+from cmparity.quadorders import order_discriminant
 
 
 def run_cli(capsys, *argv):
@@ -308,17 +310,66 @@ def test_density_subnormal_bin_width_in_a_fresh_process():
     assert "bins_hit=0" in proc.stdout
 
 
-# main turns an InternalCheckError into exit 1, so this calls the subcommand's
-# handler, which main wraps, to show the fault itself.
+# The handler, not main, so that the fault itself is raised: main would turn
+# it into exit 1.
 @pytest.mark.xfail(
     strict=True,
     raises=InternalCheckError,
     reason="numeric real-j check disagrees with the form criterion next to rho",
 )
-def test_classify_next_to_rho_is_not_real(capsys):
+def test_classify_next_to_rho_is_not_real():
     args = build_parser().parse_args(["classify", "--tau", "1000000,999999,1000001"])
-    assert args.handler(args) == 0
-    assert "real_j=false" in capsys.readouterr().out
+    record, _ = args.handler(args)
+    assert record["real_j"] is False
+
+
+# Fault injection: the layer below a guard lies, and the guard must turn the
+# lie into exit 1 with the internal-error prefix, never into output.
+def assert_internal_error(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (1, ""), err
+    assert err.startswith("internal error: ") and message in err
+
+
+def test_classify_trips_on_a_branch_curve_off_by_1e_3(monkeypatch, capsys):
+    f_curve = modular.f_curve
+    monkeypatch.setattr(modular, "f_curve", lambda t: f_curve(t) * (1 + 1e-3))
+    assert_internal_error(capsys, ["classify", "--tau", "1,-1,2"], "disagrees with j")
+
+
+def test_density_odd_trips_on_a_j_above_1728(monkeypatch, capsys):
+    monkeypatch.setattr(density, "j_of_tau", lambda tau: complex(1728.5, 0.0))
+    argv = ["density", "--mode", "odd", "--base", "1,-1,1", "--max-denominator", "3"]
+    assert_internal_error(capsys, argv, "odd family produced a j at or above 1728")
+
+
+def _lying_saturated_divisors(n):
+    return saturated_divisors(n) + [10**6, 10**6 + 1]  # two more above sqrt(|n|)
+
+
+@pytest.mark.parametrize(
+    "name, lie, message",
+    [
+        ("order_discriminant", lambda order: 9 * order_discriminant(order), "instead of -15"),
+        ("parity_of_tau", lambda tau: Parity.EVEN, "is not odd"),
+        ("j_of_tau", lambda tau: complex(1728.5, 0.0), "is not below 1728"),
+        ("saturated_divisors", _lying_saturated_divisors, "expected 3 points, found 2"),
+        ("j_of_tau", lambda tau: complex(-tau.a, 0.0), "minimal j not attained at beta = 1"),
+    ],
+    ids=["order-discriminant", "parity", "j-below-1728", "point-count", "minimum-at-beta-1"],
+)
+def test_enumerate_trips_on_each_lie(monkeypatch, capsys, name, lie, message):
+    monkeypatch.setattr(enumeration, name, lie)
+    assert_internal_error(capsys, ["enumerate", "--disc", "-15"], message)
+
+
+def test_main_maps_an_internal_check_error_to_exit_1(monkeypatch, capsys):
+    def planted(tau):
+        raise InternalCheckError("planted")
+
+    monkeypatch.setattr(cli, "order_of_tau", planted)
+    code, out, err = run_cli(capsys, "classify", "--tau", "1,-1,1")
+    assert (code, out, err) == (1, "", "internal error: planted\n")
 
 
 def _corpus() -> list[list[str]]:

@@ -1,5 +1,4 @@
-"""The demos run end to end. The density demo (06) takes seconds and is left
-out."""
+"""The demos run end to end."""
 
 import hashlib
 import subprocess
@@ -15,6 +14,7 @@ DEMOS = [
     "03_odd_isogenies.py",
     "04_real_j_locus.py",
     "05_enumerate_discriminants.py",
+    "06_density_experiments.py",
 ]
 
 

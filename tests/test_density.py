@@ -16,7 +16,6 @@ from cmparity import (
     Parity,
     RatMatrix2,
     TauExact,
-    coverage_report_from_points,
     density,
     emit,
     enumerate_real_odd_cm,
@@ -42,12 +41,21 @@ from conftest import random_odd_matrix
 BASE_ODD = TauExact(1, -1, 1)
 
 
+def coverage_report_from_points(points):
+    """An enumeration result as a report, so that emit writes it like any other."""
+    samples = [
+        SamplePoint(f"beta={p.beta}", complex(p.j_estimate, 0.0), "T2", Parity.ODD, None)
+        for p in points
+    ]
+    return density._build_report(Mode.ODD_REAL, samples, 100.0, None, None)
+
+
 def odd_cfg(n, base=BASE_ODD):
-    return DensityConfig(mode=Mode.ODD_REAL, base=base, denom_bound=n)
+    return DensityConfig(base=base, denom_bound=n)
 
 
 def even_cfg(base, n):
-    return DensityConfig(mode=Mode.EVEN_REAL, base=base, denom_bound=n)
+    return DensityConfig(base=base, denom_bound=n)
 
 
 def test_odd_single_pair_is_base():
@@ -162,14 +170,14 @@ def test_even_rejects_odd_base():
 
 
 def test_complex_zero_draws():
-    report = sample_complex(DensityConfig(mode=Mode.COMPLEX, base=BASE_ODD, draws=0, seed=5))
+    report = sample_complex(DensityConfig(base=BASE_ODD, draws=0, seed=5))
     assert report.samples == []
     assert report.min_j is None and report.max_j is None
     assert emit(report, "csv") == b"label,re_j,im_j,branch,parity,degree\n"
 
 
 def test_complex_single_draw_matches_manual_replay():
-    cfg = DensityConfig(mode=Mode.COMPLEX, base=BASE_ODD, draws=1, seed=1234)
+    cfg = DensityConfig(base=BASE_ODD, draws=1, seed=1234)
     report = sample_complex(cfg)
     assert len(report.samples) == 1
     matrix = _draw_matrix(random.Random(1234))
@@ -200,7 +208,7 @@ def test_complex_builds_a_matrix_per_kept_draw_only(monkeypatch):
         init(self, *entries)
 
     monkeypatch.setattr(RatMatrix2, "__init__", counted)
-    sample_complex(DensityConfig(mode=Mode.COMPLEX, base=BASE_ODD, draws=300, seed=8))
+    sample_complex(DensityConfig(base=BASE_ODD, draws=300, seed=8))
     assert len(built) == 300
 
 
@@ -211,7 +219,7 @@ def test_draw_matrix_checks_kept_draw(monkeypatch):
 
 
 def test_complex_deterministic_and_parity_checked():
-    cfg = DensityConfig(mode=Mode.COMPLEX, base=BASE_ODD, draws=300, seed=42)
+    cfg = DensityConfig(base=BASE_ODD, draws=300, seed=42)
     r1 = sample_complex(cfg)
     r2 = sample_complex(cfg)
     assert emit(r1, "csv") == emit(r2, "csv")
@@ -299,16 +307,16 @@ def test_reports_match_pinned_bytes():
         "odd-99-csv": emit(sample_odd(odd_cfg(99)), "csv"),
         "even-1,0,1-30-csv": emit(sample_even(even_cfg(TauExact(1, 0, 1), 30)), "csv"),
         "complex-42-1000-json": emit(
-            sample_complex(DensityConfig(mode=Mode.COMPLEX, base=BASE_ODD, draws=1000, seed=42)),
+            sample_complex(DensityConfig(base=BASE_ODD, draws=1000, seed=42)),
             "json",
         ),
         "complex-1,0,1-7-2000-csv": emit(
-            sample_complex(DensityConfig(mode=Mode.COMPLEX, base=TauExact(1, 0, 1), draws=2000, seed=7)),
+            sample_complex(DensityConfig(base=TauExact(1, 0, 1), draws=2000, seed=7)),
             "csv",
         ),
         "complex-5,-3,7-1378860992-1000-json": emit(
             sample_complex(
-                DensityConfig(mode=Mode.COMPLEX, base=TauExact(5, -3, 7), draws=1000, seed=1378860992)
+                DensityConfig(base=TauExact(5, -3, 7), draws=1000, seed=1378860992)
             ),
             "json",
         ),
@@ -355,7 +363,7 @@ def test_emit_csv_matches_csv_writer():
     reports = [
         sample_odd(odd_cfg(199)),
         sample_even(even_cfg(TauExact(1, 0, 1), 12)),
-        sample_complex(DensityConfig(mode=Mode.COMPLEX, base=BASE_ODD, draws=300, seed=4)),
+        sample_complex(DensityConfig(base=BASE_ODD, draws=300, seed=4)),
         coverage_report_from_points(enumerate_real_odd_cm(-1155)),
     ]
     assert any(math.isinf(s.j.real) for s in reports[0].samples)
@@ -410,7 +418,7 @@ def test_odd_row_in_the_overflow_window_is_finite():
 )
 def test_complex_draws_near_overflow_match_mpmath(seed, index, label):
     mpmath = pytest.importorskip("mpmath")
-    report = sample_complex(DensityConfig(mode=Mode.COMPLEX, base=BASE_ODD, draws=index + 1, seed=seed))
+    report = sample_complex(DensityConfig(base=BASE_ODD, draws=index + 1, seed=seed))
     sample = report.samples[index]
     assert sample.label == label
     rng = random.Random(seed)
@@ -463,7 +471,7 @@ def test_even_evaluates_j_once_per_distinct_point(monkeypatch):
 def test_complex_moves_each_draw_once(monkeypatch):
     cmparity_modules = [m for name, m in sys.modules.items() if name.startswith("cmparity")]
     calls = counting(monkeypatch, isogenies.moebius, cmparity_modules)
-    sample_complex(DensityConfig(mode=Mode.COMPLEX, base=BASE_ODD, draws=50, seed=3))
+    sample_complex(DensityConfig(base=BASE_ODD, draws=50, seed=3))
     assert len(calls) == 50
 
 
@@ -485,25 +493,23 @@ def fraction_calls(run) -> list[str]:
 
 def test_complex_builds_no_fraction():
     assert "__new__" in fraction_calls(lambda: Fraction(1, 3) + 1)  # the probe sees them
-    cfg = DensityConfig(mode=Mode.COMPLEX, base=BASE_ODD, draws=200, seed=11)
+    cfg = DensityConfig(base=BASE_ODD, draws=200, seed=11)
     assert fraction_calls(lambda: sample_complex(cfg)) == []
 
 
 def test_config_validation():
     with pytest.raises(ValueError):
-        DensityConfig(mode=Mode.ODD_REAL, base=BASE_ODD, denom_bound=0)
+        DensityConfig(base=BASE_ODD, denom_bound=0)
     with pytest.raises(ValueError):
-        DensityConfig(mode=Mode.ODD_REAL, base=BASE_ODD, bin_width=-1.0)
+        DensityConfig(base=BASE_ODD, bin_width=-1.0)
     with pytest.raises(ValueError):
-        DensityConfig(mode=Mode.COMPLEX, base=BASE_ODD, draws=-1)
-    with pytest.raises(ValueError):
-        sample_odd(DensityConfig(mode=Mode.COMPLEX, base=BASE_ODD))
+        DensityConfig(base=BASE_ODD, draws=-1)
 
 
 def test_bin_width_must_be_a_positive_number():
     for width in (math.nan, 0.0, -0.0, -math.inf):
         with pytest.raises(ValueError, match="bin width must be positive"):
-            DensityConfig(mode=Mode.ODD_REAL, base=BASE_ODD, bin_width=width)
+            DensityConfig(base=BASE_ODD, bin_width=width)
 
 
 def test_non_finite_bin_quotients_get_no_bin():
