@@ -9,60 +9,49 @@ Each handler returns (record, lines) and main alone prints them: the record
 as one JSON object under --json, otherwise each line, a list of (label,
 value) pairs, as space-joined label=value. density writes its CSV or JSON
 payload itself and returns no record, only its summary line.
+
+Importing this module loads no layer of the package: each handler imports the
+layers it uses as modules, and calls through them, the first time it runs.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
-import json
 import sys
 
-from .cmpoints import TauExact, order_of_tau, parity_of_tau
-from .density import (
-    DensityConfig,
-    _json_float,
-    emit,
-    fmt_float,
-    sample_complex,
-    sample_even,
-    sample_odd,
-)
-from .enumeration import enumerate_real_odd_cm, min_j_gap
 from .errors import InternalCheckError, NotRealJError
-from .isogenies import RatMatrix2, odd_isogeny
-from .modular import j_numeric, j_of_tau, t_representative
-from .quadorders import (
-    canonical_generator,
-    order_discriminant,
-    parity,
-    quad_order,
-    trace_lattice,
-)
 
 
 def _parse_triple(text: str):
+    import cmparity.cmpoints as cmpoints
+
     parts = text.split(",")
     if len(parts) != 3:
         raise ValueError("expected three comma-separated integers a,b,c")
     a, b, c = (int(p.strip()) for p in parts)
-    return TauExact(a, b, c)
+    return cmpoints.TauExact(a, b, c)
 
 
 def _parse_matrix(text: str):
+    import cmparity.isogenies as isogenies
+
     parts = text.split(",")
     if len(parts) != 4:
         raise ValueError("expected four comma-separated rationals a,b,c,d")
-    return RatMatrix2(*parts)
+    return isogenies.RatMatrix2(*parts)
 
 
 def _cmd_classify(args) -> tuple[dict, list]:
+    import cmparity.cmpoints as cmpoints
+    import cmparity.modular as modular
+
     tau = _parse_triple(args.tau)
-    order = order_of_tau(tau)
-    par = parity_of_tau(tau)
+    order = cmpoints.order_of_tau(tau)
+    par = cmpoints.parity_of_tau(tau)
     # one reduction and one j give both the verdict and the locus point
     try:
-        rep = t_representative(tau)
+        rep = modular.t_representative(tau)
     except NotRealJError:
         rep = None
     real = rep is not None
@@ -78,19 +67,21 @@ def _cmd_classify(args) -> tuple[dict, list]:
     }
     if real:
         record["branch"] = rep.branch
-        record["t"] = _json_float(rep.t)
+        record["t"] = modular._json_float(rep.t)
     return record, [list(record.items())[3:]]  # the text line leaves out the triple
 
 
 def _cmd_order(args) -> tuple[dict, list]:
-    order = quad_order(args.squarefree, args.conductor)
-    canon = canonical_generator(order)
+    import cmparity.quadorders as quadorders
+
+    order = quadorders.quad_order(args.squarefree, args.conductor)
+    canon = quadorders.canonical_generator(order)
     record = {
         "d": order.d.value,
         "f": order.conductor,
-        "disc": order_discriminant(order),
-        "parity": parity(order).value,
-        "trace_lattice": "Z" if trace_lattice(order) == 1 else "2Z",
+        "disc": quadorders.order_discriminant(order),
+        "parity": quadorders.parity(order).value,
+        "trace_lattice": "Z" if quadorders.trace_lattice(order) == 1 else "2Z",
         "canonical_kind": canon.kind.value,
         "canonical_radicand": canon.radicand,
     }
@@ -104,12 +95,17 @@ def _cmd_order(args) -> tuple[dict, list]:
 
 
 def _cmd_enumerate(args) -> tuple[dict, list]:
-    points = enumerate_real_odd_cm(args.disc)
+    import cmparity.enumeration as enumeration
+    import cmparity.modular as modular
+
+    points = enumeration.enumerate_real_odd_cm(args.disc)
     entries = [
-        {"beta": p.beta, "a": p.tau.a, "b": p.tau.b, "c": p.tau.c, "j": _json_float(p.j_estimate)}
+        {"beta": p.beta, "a": p.tau.a, "b": p.tau.b, "c": p.tau.c,
+         "j": modular._json_float(p.j_estimate)}
         for p in points
     ]
-    lines = [[("disc", args.disc), ("count", len(entries)), ("min_j_gap", min_j_gap(points))]]
+    gap = enumeration.min_j_gap(points)
+    lines = [[("disc", args.disc), ("count", len(entries)), ("min_j_gap", gap)]]
     lines += [
         [("beta", e["beta"]), ("tau", f"({e['a']},{e['b']},{e['c']})"), ("j", e["j"])]
         for e in entries
@@ -118,9 +114,11 @@ def _cmd_enumerate(args) -> tuple[dict, list]:
 
 
 def _cmd_isogeny(args) -> tuple[dict, list]:
+    import cmparity.isogenies as isogenies
+
     matrix = _parse_matrix(args.matrix)
     tau = _parse_triple(args.tau)
-    iso = odd_isogeny(matrix, tau)
+    iso = isogenies.odd_isogeny(matrix, tau)
     moved = iso.source_tau
     record = {
         "degree": iso.degree,
@@ -140,30 +138,38 @@ def _cmd_isogeny(args) -> tuple[dict, list]:
 
 
 def _cmd_jvalue(args) -> tuple[dict, list]:
+    import cmparity.modular as modular
+
     if (args.tau is None) == (args.point is None):
         raise ValueError("give exactly one of --tau or --point")
     if args.tau is not None:
-        j = j_of_tau(_parse_triple(args.tau))
+        j = modular.j_of_tau(_parse_triple(args.tau))
     else:
         parts = args.point.split(",")
         if len(parts) != 2:
             raise ValueError("expected --point re,im")
-        j = j_numeric(complex(float(parts[0]), float(parts[1])))
-    record = {"re_j": _json_float(j.real), "im_j": _json_float(j.imag)}
+        j = modular.j_numeric(complex(float(parts[0]), float(parts[1])))
+    record = {"re_j": modular._json_float(j.real), "im_j": modular._json_float(j.imag)}
     return record, [[("j_re", j.real), ("j_im", j.imag)]]
 
 
 def _cmd_density(args) -> tuple[None, list]:
-    cfg = DensityConfig(
+    import cmparity.density as density
+
+    cfg = density.DensityConfig(
         base=_parse_triple(args.base),
         denom_bound=args.max_denominator,
         bin_width=args.bin_width,
         seed=args.seed,
         draws=args.draws,
     )
-    runner = {"odd": sample_odd, "even": sample_even, "complex": sample_complex}[args.mode]
+    runner = {
+        "odd": density.sample_odd,
+        "even": density.sample_even,
+        "complex": density.sample_complex,
+    }[args.mode]
     report = runner(cfg)
-    payload = emit(report, args.format)
+    payload = density.emit(report, args.format)
     summary = [
         ("samples", len(report.samples)),
         ("min_j", report.min_j),
@@ -239,7 +245,9 @@ def _text(value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, float):
-        return fmt_float(value)
+        import cmparity.modular as modular  # loaded already by the command that made a float
+
+        return modular.fmt_float(value)
     return "n/a" if value is None else str(value)
 
 
@@ -250,6 +258,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         record, lines = args.handler(args)
         if args.json:
+            import json
+
             print(json.dumps(record))
         else:
             for line in lines:

@@ -36,10 +36,7 @@ rational is built on that path either.
 from __future__ import annotations
 
 import enum
-import hashlib
-import json
 import math
-import random
 from collections import Counter
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -48,7 +45,7 @@ from .cmpoints import TauExact, parity_of_tau
 from .errors import BadBaseError, InternalCheckError
 from .factorint import squarefree_decompose
 from .isogenies import RatMatrix2, in_odd_group, in_odd_pairs, odd_isogeny
-from .modular import J_SPLIT, is_real_j, j_of_tau
+from .modular import J_SPLIT, _json_float, fmt_float, is_real_j, j_of_tau
 from .quadorders import Parity
 
 DEFAULT_RECT = (-2000.0, 2000.0, -2000.0, 2000.0)
@@ -295,6 +292,9 @@ def sample_complex(cfg: DensityConfig) -> CoverageReport:
 
     Parity transport is asserted on every draw.
     """
+    import hashlib  # these two only for complex mode
+    import random
+
     base = cfg.base
     base_parity = parity_of_tau(base)
     rng = random.Random(cfg.seed)
@@ -320,16 +320,6 @@ def sample_complex(cfg: DensityConfig) -> CoverageReport:
 
     samples = [evaluate(m) for m in matrices]
     return _build_report(Mode.COMPLEX, samples, cfg.bin_width, None, cfg.seed)
-
-
-def fmt_float(x: float) -> str:
-    """A float at 12 significant digits, as every report and command prints it."""
-    return format(x, ".12g")
-
-
-def _json_float(x: float) -> float:
-    """A float as JSON records carry it: the value fmt_float prints."""
-    return float(fmt_float(x))
 
 
 def _json_num(x: float | None):
@@ -361,6 +351,8 @@ def emit(report: CoverageReport, fmt: str = "csv") -> bytes:
             )
         return "".join(rows).encode()
     if fmt == "json":
+        import json
+
         payload = {
             "mode": report.mode.value,
             "denom_bound": report.denom_bound,

@@ -256,6 +256,16 @@ def j_of_tau(t: TauExact) -> complex:
     return j_numeric(complex(-b / (2 * a), math.sqrt(4 * a * c - b * b) / (2 * a)))
 
 
+def fmt_float(x: float) -> str:
+    """A float at 12 significant digits, as every report and command prints it."""
+    return format(x, ".12g")
+
+
+def _json_float(x: float) -> float:
+    """A float as JSON records carry it: the value fmt_float prints."""
+    return float(fmt_float(x))
+
+
 def _reduced_j(t: TauExact) -> tuple[TauExact, bool, complex]:
     """The reduced triple, whether j is real, and j at the reduced point.
 

@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from cmparity import InternalCheckError, Parity, cli, density, enumeration, modular
+from cmparity import InternalCheckError, Parity, cmpoints, density, enumeration, modular
 from cmparity.cli import build_parser, main
 from cmparity.enumeration import saturated_divisors
 from cmparity.quadorders import order_discriminant
@@ -367,7 +367,8 @@ def test_main_maps_an_internal_check_error_to_exit_1(monkeypatch, capsys):
     def planted(tau):
         raise InternalCheckError("planted")
 
-    monkeypatch.setattr(cli, "order_of_tau", planted)
+    # the handler reads the layer's attribute when it runs
+    monkeypatch.setattr(cmpoints, "order_of_tau", planted)
     code, out, err = run_cli(capsys, "classify", "--tau", "1,-1,1")
     assert (code, out, err) == (1, "", "internal error: planted\n")
 

@@ -1,6 +1,10 @@
-"""The package's public names: what `cmparity` exports and where each lives."""
+"""The package's public names, and the modules that importing it and running a
+command load."""
 
+import ast
 import importlib
+import subprocess
+import sys
 
 import pytest
 
@@ -65,3 +69,54 @@ def test_unknown_attribute_raises_attribute_error():
     with pytest.raises(AttributeError, match="no_such_name"):
         cmparity.no_such_name  # noqa: B018
     assert not hasattr(cmparity, "no_such_name")
+
+
+# Modules in sys.modules at the start (what a bare `python -c pass` holds, so
+# whatever site preloads here cancels out), then after each step, one list a line.
+FOOTPRINT_SCRIPT = """
+import io, sys
+stages = [sorted(sys.modules)]
+import cmparity.cli
+stages.append(sorted(sys.modules))
+stdout, sys.stdout = sys.stdout, io.TextIOWrapper(io.BytesIO())
+cmparity.cli.main(["classify", "--tau", "3,5,7"])
+stages.append(sorted(sys.modules))
+cmparity.cli.main(["density", "--mode", "odd", "--base", "1,-1,1", "--max-denominator", "3"])
+stages.append(sorted(sys.modules))
+sys.stdout = stdout
+for stage in stages:
+    print(stage)
+"""
+
+
+@pytest.fixture(scope="module")
+def loaded():
+    """The modules a fresh interpreter holds after each step (import, then
+    classify, then density --mode odd) and did not hold at its start."""
+    proc = subprocess.run(
+        [sys.executable, "-c", FOOTPRINT_SCRIPT], capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    bare, *steps = (set(ast.literal_eval(line)) for line in proc.stdout.splitlines())
+    return {
+        step: after - bare
+        for step, after in zip(("import", "classify", "density-odd"), steps, strict=True)
+    }
+
+
+def test_importing_the_cli_loads_no_layer(loaded):
+    added = loaded["import"]
+    assert {m for m in added if m.partition(".")[0] == "cmparity"} == {
+        "cmparity", "cmparity.cli", "cmparity.errors"
+    }
+    assert not added & {"dataclasses", "fractions", "decimal", "hashlib", "json"}
+
+
+def test_classify_loads_only_its_layers(loaded):
+    assert not loaded["classify"] & {
+        "cmparity.density", "cmparity.isogenies", "cmparity.enumeration"
+    }
+
+
+def test_odd_density_loads_no_hashlib(loaded):
+    assert "hashlib" not in loaded["density-odd"]
