@@ -310,6 +310,39 @@ def test_density_subnormal_bin_width_in_a_fresh_process():
     assert "bins_hit=0" in proc.stdout
 
 
+# Exact points whose height at the reduced point is past the double range, and
+# a float point too close to the real axis to reduce: each exits 0 or 2.
+@pytest.mark.xfail(strict=True, raises=OverflowError, reason="the exact-to-float step overflows")
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        # Re z = -1/4: j = -i/q has a zero real part, as --point=-0.25,1e308 prints
+        (["jvalue", f"--tau=2,1,{10**400}"], (0, "j_re=0 j_im=inf\n", "")),
+        (["jvalue", f"--tau={2**63},1,{10**300}"], (0, "j_re=inf j_im=inf\n", "")),
+        (["jvalue", f"--tau=1,0,{10**400}"], (0, "j_re=inf j_im=0\n", "")),
+        (["jvalue", f"--tau=1,1,{10**400}"], (0, "j_re=-inf j_im=0\n", "")),
+        (
+            ["density", "--mode=odd", f"--base=1,-1,{10**400}", "--max-denominator=3"],
+            (0, None, ""),
+        ),
+        (["density", "--mode=complex", f"--base=1,0,{10**300}", "--draws=20"], (0, None, "")),
+        (
+            ["jvalue", "--point=1e-320,1e-320"],
+            (2, "", "error: point is too close to the real axis to reduce in double precision\n"),
+        ),
+    ],
+    ids=["line-quarter", "2**63", "axis", "line-half", "odd-base", "complex-base", "tiny-point"],
+)
+def test_past_the_double_range(capsys, argv, expected):
+    code, out, err = run_cli(capsys, *argv)
+    want_code, want_out, want_err = expected
+    assert (code, err) == (want_code, want_err)
+    if want_out is not None:
+        assert out == want_out
+    else:
+        assert out.splitlines()[-1].startswith("samples=")
+
+
 # The handler, not main, so that the fault itself is raised: main would turn
 # it into exit 1.
 @pytest.mark.xfail(
