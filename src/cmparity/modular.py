@@ -12,13 +12,16 @@ onto the line below the fundamental domain (imaginary part between 1/2 and
 sqrt(3)/2). So the locus point with the same j is read off the reduced triple
 in closed form, with one int division and one square root in floats.
 
-`j_of_tau` is the one place where an exact point becomes a float. It
-Gauss-reduces the triple on the integers first. An ambiguous form then goes
-to floats only as the height t of that locus point, and the series is summed
-at the real q = exp(-2*pi*t) on the axis or -exp(-2*pi*t) on the line, so Im
-j is exactly 0; the arc's line points have t > 1/2, where |q| < exp(-pi) and
-the series still converges. Any other form goes to j_numeric as its exactly
-reduced point, with the complex q = exp(2*pi*i*z).
+An exact point becomes a float in two steps of this module, both taken
+after the triple is Gauss-reduced on the integers. _locus_point turns an
+ambiguous form into the height t of its locus point, and the series is
+summed at the real q = exp(-2*pi*t) on the axis or -exp(-2*pi*t) on the
+line, so Im j is exactly 0; the arc's line points have t > 1/2, where
+|q| < exp(-pi) and the series still converges. _j_at_reduced turns the
+reduced triple into its point and sums the complex q = exp(2*pi*i*z) there:
+j_of_tau takes it for any other form, and the real-j test for every form.
+A height whose square is past the double range is inf, where j is the cusp
+value, so a triple of any size has a j.
 
 Both kinds of q go through one loop. It sums E4 and the eta product over
 the same powers q^n, and it stops once each has met its own stop test.
@@ -110,6 +113,10 @@ def _reduce_numeric(z: complex) -> complex:
             z = complex(z.real - shift, z.imag)
         if z.real * z.real + z.imag * z.imag < 1.0 - 1e-15:
             z = -1.0 / z
+            if not (math.isfinite(z.real) and math.isfinite(z.imag)):
+                raise ValueError(
+                    "point is too close to the real axis to reduce in double precision"
+                )
         else:
             return z
     raise InternalCheckError("fundamental-domain reduction did not converge")
@@ -229,20 +236,51 @@ def _is_ambiguous(a: int, b: int, c: int) -> bool:
     return b == 0 or b == -a or a == c
 
 
+def _root_of_ratio(num: int, den: int) -> float:
+    """sqrt(num/den) for positive ints, from the correctly rounded quotient;
+    inf when the quotient is past the double range."""
+    try:
+        return math.sqrt(num / den)
+    except OverflowError:
+        return math.inf
+
+
 def _locus_point(a: int, b: int, c: int) -> tuple[str, float]:
     """Branch and height t of the real-locus point of a reduced ambiguous
-    triple (see t_representative)."""
+    triple (see t_representative); t is inf when t^2 is past the double
+    range, where j on either branch is already infinite."""
     if b == 0:
-        return "T1", math.sqrt(c / a)
+        return "T1", _root_of_ratio(c, a)
     if b == -a:
-        return "T2", 0.5 * math.sqrt((4 * c - a) / a)
+        return "T2", 0.5 * _root_of_ratio(4 * c - a, a)
     # t rounds to 1/2 when a = c is about 2**51 or more and |b| is small
-    arc = 0.5 * math.sqrt((2 * a + abs(b)) / (2 * a - abs(b)))
+    arc = 0.5 * _root_of_ratio(2 * a + abs(b), 2 * a - abs(b))
     return "T2", max(arc, math.nextafter(0.5, 1.0))
 
 
+def _j_at_reduced(a: int, b: int, c: int) -> complex:
+    """j from the complex q at the point (-b + i*sqrt(4ac - b^2))/(2a) of a
+    reduced triple, the step both j routes take from the integers to a float
+    point.
+
+    When 4ac - b^2 is past the double range, the height comes from the
+    quotient (4ac - b^2)/(4a^2) instead (near the unit arc it is still about
+    1); when that is past the range too, the height is inf, and j is the
+    cusp value there.
+    """
+    disc = 4 * a * c - b * b
+    try:
+        height = math.sqrt(disc) / (2 * a)
+    except OverflowError:
+        height = _root_of_ratio(disc, 4 * a * a)
+    point = complex(-b / (2 * a), height)
+    if height == math.inf:
+        return _j_cusp_asymptotic(point)
+    return j_numeric(point)
+
+
 def j_of_tau(t: TauExact) -> complex:
-    """j at an exact point: the one place where an exact point becomes a float.
+    """j at an exact point.
 
     The triple is reduced on the integers first. An ambiguous reduced form
     goes to floats as the height t of its real-locus point, and the series is
@@ -253,7 +291,7 @@ def j_of_tau(t: TauExact) -> complex:
     if _is_ambiguous(a, b, c):
         branch, height = _locus_point(a, b, c)
         return complex(_j_locus(1.0 if branch == "T1" else -1.0, height), 0.0)
-    return j_numeric(complex(-b / (2 * a), math.sqrt(4 * a * c - b * b) / (2 * a)))
+    return _j_at_reduced(a, b, c)
 
 
 def fmt_float(x: float) -> str:
@@ -266,20 +304,20 @@ def _json_float(x: float) -> float:
     return float(fmt_float(x))
 
 
-def _reduced_j(t: TauExact) -> tuple[TauExact, bool, complex]:
+def _reduced_j(t: TauExact) -> tuple[tuple[int, int, int], bool, complex]:
     """The reduced triple, whether j is real, and j at the reduced point.
 
     The form criterion (the reduced triple is ambiguous: b = 0, |b| = a, or
     a = c) is double-checked numerically rather than trusted alone: j is
-    evaluated by j_numeric, with the complex q at the reduced point and not
-    by the real-q route of j_of_tau, and counts as real when |Im j| is within
-    the float error of that point. Above the overflow height the cusp
+    evaluated by _j_at_reduced, with the complex q at the reduced point and
+    not by the real-q route of j_of_tau, and counts as real when |Im j| is
+    within the float error of that point. Above the overflow height the cusp
     expansion gives Im j as exactly zero or infinite, and infinite is not
     real.
     """
-    reduced, _ = reduce_fundamental(t)
-    by_form = _is_ambiguous(reduced.a, reduced.b, reduced.c)
-    j = j_numeric(complex(reduced))
+    reduced = _gauss_reduce(t.a, t.b, t.c)[:3]
+    by_form = _is_ambiguous(*reduced)
+    j = _j_at_reduced(*reduced)
     by_value = j.imag == 0.0 or (
         math.isfinite(j.imag)
         and abs(j.imag) <= REAL_J_ABS_TOL + 2.0 * math.pi * RE_Z_ERR * abs(j)
@@ -333,7 +371,7 @@ def t_representative(t: TauExact) -> TPoint:
     reduced, real, j = _reduced_j(t)
     if not real:
         raise NotRealJError(f"{t} does not have a real j-invariant")
-    result = TPoint(*_locus_point(reduced.a, reduced.b, reduced.c))
+    result = TPoint(*_locus_point(*reduced))
     target = j.real
     on_branch = axis_curve(result.t) if result.branch == "T1" else f_curve(result.t)
     # equal infinities agree; NaN, or an infinity against anything else, fails

@@ -6,6 +6,8 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from cmparity import InternalCheckError, Parity, cmpoints, density, enumeration, modular
 from cmparity.cli import build_parser, main
@@ -75,6 +77,29 @@ def test_classify_evaluates_j_once_at_the_reduced_point(monkeypatch, capsys):
         calls.update(dict.fromkeys(calls, 0))
         code, _, _ = run_cli(capsys, "classify", "--tau", triple)
         assert code == 0 and (calls["j_numeric"], calls["_j_locus"]) == expected, triple
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["classify", "--tau", "35,-105,98"],
+        ["classify", "--tau", "3,5,7"],
+        ["jvalue", "--tau", "47,-47,542"],
+        ["enumerate", "--disc", "-1155"],
+        ["density", "--mode", "odd", "--base", "1,-1,1", "--max-denominator", "9"],
+    ],
+    ids=["classify-real", "classify-complex", "jvalue", "enumerate", "density-odd"],
+)
+def test_j_path_never_makes_a_float_point_of_a_tau_exact(monkeypatch, capsys, argv):
+    # both j routes go to floats from the reduced ints, never through TauExact
+    expected = run_cli(capsys, *argv)
+
+    def refused(self):
+        raise AssertionError("TauExact.__complex__ called on the j path")
+
+    monkeypatch.setattr(cmpoints.TauExact, "__complex__", refused)
+    assert run_cli(capsys, *argv) == expected
+    assert expected[0] == 0
 
 
 def test_classify_huge_non_real_point(capsys):
@@ -312,7 +337,6 @@ def test_density_subnormal_bin_width_in_a_fresh_process():
 
 # Exact points whose height at the reduced point is past the double range, and
 # a float point too close to the real axis to reduce: each exits 0 or 2.
-@pytest.mark.xfail(strict=True, raises=OverflowError, reason="the exact-to-float step overflows")
 @pytest.mark.parametrize(
     "argv, expected",
     [
@@ -341,6 +365,106 @@ def test_past_the_double_range(capsys, argv, expected):
         assert out == want_out
     else:
         assert out.splitlines()[-1].startswith("samples=")
+
+
+def test_point_next_to_i_past_the_double_range(capsys):
+    # 4ac - b^2 is past the double range, yet the reduced point lies next to i:
+    # its height comes from the quotient by 4a^2, not from the cusp
+    code, out, err = run_cli(capsys, "jvalue", f"--tau={10**160},1,{10**160 + 1}")
+    assert (code, err) == (0, "")
+    assert out.startswith("j_re=1728 j_im=")
+
+
+# Integers small, near 2**63 and past the double range, but none in between:
+# factoring a discriminant near 10**18 costs about 0.1 s.
+HUGE = st.one_of(
+    st.sampled_from([2**63, 10**300, 10**400]),
+    st.integers(10**19, 10**400),
+)
+INTS = st.one_of(st.integers(-60, 60), HUGE, HUGE.map(lambda n: -n))
+POSITIVE = st.one_of(st.integers(1, 60), HUGE)
+ODD = st.one_of(st.integers(-30, 30).map(lambda k: 2 * k + 1), HUGE.map(lambda n: 2 * n + 1))
+FLOATS = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+    st.sampled_from([1e308, -1e308, 5e-324, 1e-320, 0.0, -0.0]),
+).map(repr)
+TRIPLES = st.one_of(
+    st.tuples(INTS, INTS, INTS),
+    st.tuples(POSITIVE, POSITIVE).map(lambda ac: (ac[0], -ac[0], ac[1])),  # on the line
+    st.tuples(POSITIVE, POSITIVE).map(lambda ac: (ac[0], 0, ac[1])),  # on the axis
+).map(lambda t: ",".join(map(str, t))) | st.sampled_from(["1,2", "a,b,c", "1,2,3,4"])
+MATRICES = st.one_of(
+    st.lists(
+        st.one_of(INTS.map(str), st.tuples(INTS, INTS).map("{0[0]}/{0[1]}".format), FLOATS),
+        min_size=4,
+        max_size=4,
+    ),
+    # odd denominators, odd diagonal and even off-diagonal numerators: an odd determinant
+    st.tuples(ODD, ODD, ODD, ODD, INTS, INTS, ODD, ODD).map(
+        lambda v: [f"{v[0]}/{v[1]}", f"{2 * v[4]}/{v[2]}", f"{2 * v[5]}/{v[3]}", f"{v[6]}/{v[7]}"]
+    ),
+).map(",".join)
+JSON = st.sampled_from([[], ["--json"]])
+
+
+def _density_argv(out: str):
+    return st.tuples(
+        st.sampled_from(["odd", "even", "complex"]),
+        TRIPLES,
+        st.integers(-1, 5),
+        st.integers(-1, 5),
+        INTS,
+        st.one_of(FLOATS, st.just("100")),
+        st.sampled_from(["csv", "json"]),
+        st.sampled_from(["-", out]),
+    ).map(
+        lambda v: [
+            "density", f"--mode={v[0]}", f"--base={v[1]}", f"--max-denominator={v[2]}",
+            f"--draws={v[3]}", f"--seed={v[4]}", f"--bin-width={v[5]}", f"--format={v[6]}",
+            f"--out={v[7]}",
+        ]
+    )
+
+
+def _argv(out: str):
+    """Every command, with option values from the strategies above."""
+    return st.one_of(
+        st.tuples(TRIPLES, JSON).map(lambda v: ["classify", f"--tau={v[0]}", *v[1]]),
+        st.tuples(st.one_of(INTS, st.sampled_from([-1, -3, -15, 2])), POSITIVE, JSON).map(
+            lambda v: ["order", f"--squarefree={v[0]}", f"--conductor={v[1]}", *v[2]]
+        ),
+        st.tuples(st.one_of(INTS, st.sampled_from([-3, -15, -1155])), JSON).map(
+            lambda v: ["enumerate", f"--disc={v[0]}", *v[1]]
+        ),
+        st.tuples(MATRICES, TRIPLES, JSON).map(
+            lambda v: ["isogeny", f"--matrix={v[0]}", f"--tau={v[1]}", *v[2]]
+        ),
+        st.tuples(TRIPLES, JSON).map(lambda v: ["jvalue", f"--tau={v[0]}", *v[1]]),
+        st.tuples(FLOATS, FLOATS, JSON).map(
+            lambda v: ["jvalue", f"--point={v[0]},{v[1]}", *v[2]]
+        ),
+        _density_argv(out),
+    )
+
+
+@settings(
+    max_examples=300,
+    derandomize=True,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow],
+)
+@given(data=st.data())
+def test_every_argv_exits_0_or_2(tmp_path, data):
+    argv = data.draw(_argv(str(tmp_path / "report")), label="argv")
+    out = io.TextIOWrapper(io.BytesIO(), encoding="utf-8", newline="\n", write_through=True)
+    err = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    if code == 2:
+        assert out.buffer.getvalue() == b""
+        assert len(err.getvalue().splitlines()) == 1 and "error:" in err.getvalue()
+    else:
+        assert (code, err.getvalue()) == (0, "")
 
 
 # The handler, not main, so that the fault itself is raised: main would turn
