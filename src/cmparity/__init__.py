@@ -12,17 +12,16 @@ import importlib
 _EXPORTS = {
     name: module
     for module, names in {
-        "cmpoints": """Lattice QuadElement TauExact halfint_membership is_maximal_halfint
-            lattice_of_tau multiplier_ring order_contains order_of_tau parity_of_tau
-            tau_from_beta tau_from_element""",
+        "cmpoints": """Lattice QuadElement TauExact lattice_of_tau multiplier_ring
+            order_of_tau parity_of_tau tau_from_beta""",
         "density": """CoverageReport DensityConfig Mode emit sample_complex sample_even
             sample_odd""",
         "enumeration": """CMClassPoint count_saturated_below_sqrt enumerate_real_odd_cm
             min_j_gap saturated_divisors""",
-        "errors": """BadBaseError DegenerateLatticeError InternalCheckError NotADivisorError
-            NotASublatticeError NotInGroupError NotRealJError""",
+        "errors": """BadBaseError DegenerateLatticeError InternalCheckError NotInGroupError
+            NotRealJError""",
         "factorint": "FactoredInt factorize",
-        "isogenies": """Isogeny RatMatrix2 in_odd_group lattice_index moebius odd_isogeny
+        "isogenies": """Isogeny RatMatrix2 in_odd_group moebius odd_isogeny
             parity_transport_check""",
         "modular": """TPoint axis_curve f_curve is_real_j j_numeric j_of_tau
             reduce_fundamental t_representative""",

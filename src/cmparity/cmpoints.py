@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DegenerateLatticeError, InternalCheckError, NotADivisorError
+from .errors import DegenerateLatticeError, InternalCheckError
 from .factorint import squarefree_decompose
 from .quadorders import Parity, QuadOrder, SquarefreeInt, order_from_discriminant
 
@@ -153,17 +153,6 @@ class TauExact:
         return f"TauExact({self.a}, {self.b}, {self.c})"
 
 
-def tau_from_element(z: QuadElement) -> TauExact:
-    """Primitive triple of x + y*sqrt(d); requires d < 0 and y > 0."""
-    if z.d.value >= 0 or z.y <= 0:
-        raise ValueError("point must lie in the upper half-plane")
-    # minimal polynomial X^2 - 2x*X + (x^2 - y^2 d), cleared to integers
-    b = -2 * z.x
-    c = z.x * z.x - z.y * z.y * z.d.value
-    den = math.lcm(b.denominator, c.denominator)
-    return TauExact(den, int(b * den), int(c * den))
-
-
 def order_of_tau(t: TauExact) -> QuadOrder:
     """The multiplier ring of [tau, 1], read off the triple: disc = b^2 - 4ac."""
     return order_from_discriminant(t.disc)
@@ -203,45 +192,9 @@ def tau_from_beta(D: int, beta: int) -> TauExact:
     return t
 
 
-def halfint_membership(D: int, beta: int) -> bool:
-    """Whether (1 + sqrt(D))/2 multiplies [tau, 1] into itself for
-    tau = 1/2 + sqrt(D)/(2*beta): holds exactly when beta divides |D|."""
-    _validate_halfint_disc(D)
-    if beta <= 0 or beta % 2 == 0:
-        raise ValueError("beta must be a positive odd integer")
-    return abs(D) % beta == 0
-
-
-def is_maximal_halfint(D: int, beta: int) -> bool:
-    """Whether the point 1/2 + sqrt(D)/(2*beta) has order of discriminant
-    exactly D: holds exactly when gcd(beta, |D|/beta) = 1."""
-    _validate_halfint_disc(D)
-    if beta <= 0:
-        raise ValueError("beta must be positive")
-    if abs(D) % beta:
-        raise NotADivisorError(f"{beta} does not divide |{D}|")
-    return math.gcd(beta, abs(D) // beta) == 1
-
-
 def _validate_halfint_disc(D: int):
     if D >= 0 or D % 4 != 1:
         raise ValueError("discriminant must be negative and congruent to 1 mod 4")
-
-
-def order_contains(o: QuadOrder, u: QuadElement) -> bool:
-    """Membership of x + y*sqrt(d) in the order Z + Z*(f*w), w the standard
-    field generator."""
-    if o.d != u.d:
-        return False
-    f = o.conductor
-    if o.d.value % 4 == 1:
-        gx, gy = Fraction(f, 2), Fraction(f, 2)  # f*(1+sqrt(d))/2
-    else:
-        gx, gy = Fraction(0), Fraction(f)  # f*sqrt(d)
-    t = u.y / gy
-    if t.denominator != 1:
-        return False
-    return (u.x - t * gx).denominator == 1
 
 
 def multiplier_ring(lat: Lattice) -> QuadOrder:

@@ -20,15 +20,6 @@ from .factorint import factorize
 from .modular import j_of_tau
 from .quadorders import Parity, order_discriminant
 
-__all__ = [
-    "CMClassPoint",
-    "saturated_divisors",
-    "count_saturated_below_sqrt",
-    "enumerate_real_odd_cm",
-    "min_j_gap",
-]
-
-
 @dataclass(frozen=True)
 class CMClassPoint:
     """One real odd CM class: its saturated divisor, exact point, and j value."""

@@ -1,10 +1,6 @@
 """Exception types shared across the package."""
 
 
-class NotADivisorError(ValueError):
-    """Raised when an argument required to divide another integer does not."""
-
-
 class DegenerateLatticeError(ValueError):
     """Raised when alleged lattice generators are linearly dependent over Q."""
 
@@ -12,10 +8,6 @@ class DegenerateLatticeError(ValueError):
 class NotInGroupError(ValueError):
     """Raised when a matrix is outside the odd-denominator, positive
     odd-unit-determinant group required for odd-degree isogeny constructions."""
-
-
-class NotASublatticeError(ValueError):
-    """Raised when a scaled lattice is not contained in the target lattice."""
 
 
 class NotRealJError(ValueError):

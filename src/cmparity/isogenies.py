@@ -16,8 +16,8 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .cmpoints import Lattice, QuadElement, TauExact, parity_of_tau
-from .errors import InternalCheckError, NotASublatticeError, NotInGroupError
+from .cmpoints import QuadElement, TauExact, parity_of_tau
+from .errors import InternalCheckError, NotInGroupError
 
 
 def _reduced(entry) -> tuple[int, int]:
@@ -165,24 +165,6 @@ def moebius(m: RatMatrix2, t: TauExact) -> TauExact:
         -2 * a * B * D + b * (A * D + B * C) - 2 * c * A * C,
         a * B * B - b * A * B + c * A * A,
     )
-
-
-def lattice_index(u: QuadElement, lat1: Lattice, lat2: Lattice) -> int:
-    """Index of u*lat1 inside lat2 (the degree of multiplication by u)."""
-    if u.is_zero():
-        raise ValueError("multiplier must be nonzero")
-    if lat1.d != lat2.d:
-        raise NotASublatticeError("lattices lie in different fields")
-    coeffs = []
-    for g in (lat1.g1, lat1.g2):
-        alpha, beta = lat2.coords(u * g)
-        if alpha.denominator != 1 or beta.denominator != 1:
-            raise NotASublatticeError(
-                f"{u} * {g} is not an integral combination of the target basis"
-            )
-        coeffs.append((int(alpha), int(beta)))
-    (a1, b1), (a2, b2) = coeffs
-    return abs(a1 * b2 - b1 * a2)
 
 
 def odd_isogeny(m: RatMatrix2, t: TauExact) -> Isogeny:

@@ -1,10 +1,11 @@
 """Shared sampling helpers; every randomized test records its seed here or
 locally so reruns are bit-identical."""
 
+import math
 import random
 from fractions import Fraction
 
-from cmparity import RatMatrix2, TauExact, in_odd_group
+from cmparity import QuadElement, RatMatrix2, TauExact, in_odd_group
 
 
 def random_tau(rng: random.Random, bound: int = 200) -> TauExact:
@@ -16,6 +17,17 @@ def random_tau(rng: random.Random, bound: int = 200) -> TauExact:
         c = rng.randint(1, bound)
         if b * b - 4 * a * c < 0:
             return TauExact(a, b, c)
+
+
+def tau_from_element(z: QuadElement) -> TauExact:
+    """Primitive triple of x + y*sqrt(d); requires d < 0 and y > 0."""
+    if z.d.value >= 0 or z.y <= 0:
+        raise ValueError("point must lie in the upper half-plane")
+    # minimal polynomial X^2 - 2x*X + (x^2 - y^2 d), cleared to integers
+    b = -2 * z.x
+    c = z.x * z.x - z.y * z.y * z.d.value
+    den = math.lcm(b.denominator, c.denominator)
+    return TauExact(den, int(b * den), int(c * den))
 
 
 def random_odd_matrix(

@@ -9,27 +9,24 @@ from hypothesis import strategies as st
 from cmparity import (
     DegenerateLatticeError,
     Lattice,
-    NotADivisorError,
     Parity,
     QuadElement,
+    QuadOrder,
     SquarefreeInt,
     TauExact,
-    halfint_membership,
-    is_maximal_halfint,
     lattice_of_tau,
     multiplier_ring,
-    order_contains,
     order_discriminant,
     order_of_tau,
     parity_of_tau,
     quad_order,
     squarefree,
     tau_from_beta,
-    tau_from_element,
 )
+from cmparity.cmpoints import _validate_halfint_disc
 from cmparity.factorint import squarefree_decompose
 
-from conftest import random_tau
+from conftest import random_tau, tau_from_element
 
 ORACLE_SEED = 20240815
 
@@ -38,6 +35,42 @@ def halfint_element(D: int) -> QuadElement:
     """(1 + sqrt(D))/2 as an exact element, D < 0 and D = 1 (mod 4)."""
     m, d = squarefree_decompose(D)
     return QuadElement(Fraction(1, 2), Fraction(m, 2), SquarefreeInt(d, part_of=D))
+
+
+def halfint_membership(D: int, beta: int) -> bool:
+    """Whether (1 + sqrt(D))/2 multiplies [tau, 1] into itself for
+    tau = 1/2 + sqrt(D)/(2*beta): holds exactly when beta divides |D|."""
+    _validate_halfint_disc(D)
+    if beta <= 0 or beta % 2 == 0:
+        raise ValueError("beta must be a positive odd integer")
+    return abs(D) % beta == 0
+
+
+def is_maximal_halfint(D: int, beta: int) -> bool:
+    """Whether the point 1/2 + sqrt(D)/(2*beta) has order of discriminant
+    exactly D: holds exactly when gcd(beta, |D|/beta) = 1."""
+    _validate_halfint_disc(D)
+    if beta <= 0:
+        raise ValueError("beta must be positive")
+    if abs(D) % beta:
+        raise ValueError(f"{beta} does not divide |{D}|")
+    return math.gcd(beta, abs(D) // beta) == 1
+
+
+def order_contains(o: QuadOrder, u: QuadElement) -> bool:
+    """Membership of x + y*sqrt(d) in the order Z + Z*(f*w), w the standard
+    field generator."""
+    if o.d != u.d:
+        return False
+    f = o.conductor
+    if o.d.value % 4 == 1:
+        gx, gy = Fraction(f, 2), Fraction(f, 2)  # f*(1+sqrt(d))/2
+    else:
+        gx, gy = Fraction(0), Fraction(f)  # f*sqrt(d)
+    t = u.y / gy
+    if t.denominator != 1:
+        return False
+    return (u.x - t * gx).denominator == 1
 
 
 def test_tau_normalization():
@@ -112,7 +145,7 @@ def test_is_maximal_halfint_examples():
     assert is_maximal_halfint(-15, 3) is True
     assert is_maximal_halfint(-63, 3) is False
     assert is_maximal_halfint(-3, 1) is True
-    with pytest.raises(NotADivisorError):
+    with pytest.raises(ValueError, match="7 does not divide"):
         is_maximal_halfint(-15, 7)
 
 

@@ -13,9 +13,8 @@ import cmparity
 # every exported name, by the submodule that defines it
 EXPORTS = {
     "cmpoints": [
-        "Lattice", "QuadElement", "TauExact", "halfint_membership", "is_maximal_halfint",
-        "lattice_of_tau", "multiplier_ring", "order_contains", "order_of_tau",
-        "parity_of_tau", "tau_from_beta", "tau_from_element",
+        "Lattice", "QuadElement", "TauExact", "lattice_of_tau", "multiplier_ring",
+        "order_of_tau", "parity_of_tau", "tau_from_beta",
     ],
     "density": [
         "CoverageReport", "DensityConfig", "Mode", "emit", "sample_complex",
@@ -26,13 +25,13 @@ EXPORTS = {
         "min_j_gap", "saturated_divisors",
     ],
     "errors": [
-        "BadBaseError", "DegenerateLatticeError", "InternalCheckError",
-        "NotADivisorError", "NotASublatticeError", "NotInGroupError", "NotRealJError",
+        "BadBaseError", "DegenerateLatticeError", "InternalCheckError", "NotInGroupError",
+        "NotRealJError",
     ],
     "factorint": ["FactoredInt", "factorize"],
     "isogenies": [
-        "Isogeny", "RatMatrix2", "in_odd_group", "lattice_index", "moebius",
-        "odd_isogeny", "parity_transport_check",
+        "Isogeny", "RatMatrix2", "in_odd_group", "moebius", "odd_isogeny",
+        "parity_transport_check",
     ],
     "modular": [
         "TPoint", "axis_curve", "f_curve", "is_real_j", "j_numeric", "j_of_tau",
