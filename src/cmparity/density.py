@@ -17,8 +17,8 @@ the j. One pass over the pairs does both, since a reduced ratio comes
 before its multiples. Each row is a SamplePoint, a NamedTuple built
 positionally, so a row costs little more than its label and its degree.
 
-Every mode gets j from modular.j_of_tau, the one place where an exact point
-becomes a float: the triple is reduced on the integers first, and a
+Every mode gets j from modular.j_of_tau: the triple is reduced on the
+integers before it becomes a float, and a
 real-family member, whose reduced form is ambiguous, is evaluated at a real q
 on the locus, so its Im j is exactly 0. A component of j is infinite only
 past the double range: when 2*pi*Im z at the reduced point, plus the log of

@@ -238,7 +238,8 @@ def _is_ambiguous(a: int, b: int, c: int) -> bool:
 
 def _root_of_ratio(num: int, den: int) -> float:
     """sqrt(num/den) for positive ints, from the correctly rounded quotient;
-    inf when the quotient is past the double range."""
+    inf when the quotient is past the double range (a height past the cusp,
+    where j is already infinite or exactly 0 in each component)."""
     try:
         return math.sqrt(num / den)
     except OverflowError:
@@ -247,14 +248,13 @@ def _root_of_ratio(num: int, den: int) -> float:
 
 def _locus_point(a: int, b: int, c: int) -> tuple[str, float]:
     """Branch and height t of the real-locus point of a reduced ambiguous
-    triple (see t_representative); t is inf when t^2 is past the double
-    range, where j on either branch is already infinite."""
+    triple (see t_representative)."""
     if b == 0:
         return "T1", _root_of_ratio(c, a)
     if b == -a:
         return "T2", 0.5 * _root_of_ratio(4 * c - a, a)
     # t rounds to 1/2 when a = c is about 2**51 or more and |b| is small
-    arc = 0.5 * _root_of_ratio(2 * a + abs(b), 2 * a - abs(b))
+    arc = 0.5 * math.sqrt((2 * a + abs(b)) / (2 * a - abs(b)))
     return "T2", max(arc, math.nextafter(0.5, 1.0))
 
 
@@ -285,7 +285,7 @@ def j_of_tau(t: TauExact) -> complex:
     The triple is reduced on the integers first. An ambiguous reduced form
     goes to floats as the height t of its real-locus point, and the series is
     summed at the real q = +-exp(-2*pi*t) (+ on the axis, - on the line), so
-    Im j is exactly 0; any other form goes to j_numeric as its reduced point.
+    Im j is exactly 0; any other form goes to _j_at_reduced.
     """
     a, b, c, _ = _gauss_reduce(t.a, t.b, t.c)
     if _is_ambiguous(a, b, c):
@@ -360,10 +360,10 @@ def t_representative(t: TauExact) -> TPoint:
     If b = -a, tau is 1/2 + i*sqrt((4c - a)/a)/2 on the line. Otherwise a = c
     puts tau on the unit arc, which z -> z/(z + 1) carries to the line point
     1/2 + i*sqrt((2a + |b|)/(2a - |b|))/2. Each ratio is an int true division,
-    correctly rounded however large the triple. Two independent routes to j
-    are then compared: the branch function at the result, summed at the real
-    q as j_of_tau does for this form, and j_numeric with the complex q at the
-    exactly reduced point.
+    correctly rounded however large the triple, and t is inf past the double
+    range. Two independent routes to j are then compared: the branch function
+    at the result, summed at the real q as j_of_tau does for this form, and
+    _j_at_reduced with the complex q at the exactly reduced point.
 
     Reduces once and evaluates j at the reduced point once, for both the
     real-j test and that check.
